@@ -56,6 +56,17 @@ def facet_count_formula(n: int, k: int, s: int) -> int:
     return k * n
 
 
+def vertex_points(ambient: int, words) -> list[tuple[int, ...]]:
+    """Points of vertex words: coordinate a counts the windows whose letter is a."""
+    points = []
+    for word in words:
+        p = [0] * ambient
+        for a in word:
+            p[a] += 1
+        points.append(tuple(p))
+    return points
+
+
 def _e(indices, K):
     row = [0] * K
     for i in indices:
@@ -127,14 +138,7 @@ def printed_description_diff(n: int, k: int, s: int, vertices) -> dict:
     `vertices` are oracle vertex words; each printed row is checked against
     every vertex point and its violations counted, with an example.
     """
-    K = s * (n - 1) + k
-    points = []
-    for word in vertices:
-        p = [0] * K
-        for a in word:
-            p[a] += 1
-        points.append(tuple(p))
-
+    points = vertex_points(s * (n - 1) + k, vertices)
     derived = h_representation(n, k, s)
     derived_by_label = {row.label: row for row in derived.rows()}
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, TieDetectedError
+from .errors import BudgetExceededError, InvalidParamsError, TieDetectedError
 from .faces import FaceSelection, build_selection_graph, is_face, selection_from_word
 from .model import WindowFamily
 
@@ -35,6 +35,8 @@ class FVector:
 
 
 def _check_budget(sizes, per_window, budget):
+    if budget < 1:
+        raise InvalidParamsError(f"budget must be >= 1, got {budget}")
     total = 1
     for m in sizes:
         total *= per_window(m)
@@ -274,7 +276,7 @@ def region_pattern(family: WindowFamily, x) -> tuple[int, ...]:
     Raises TieDetectedError when some window attains its maximum twice.
     """
     if len(x) != family.ambient_size:
-        raise ValueError("input length must equal the ambient size")
+        raise InvalidParamsError("input length must equal the ambient size")
     word = []
     for w in family.windows:
         best = max(w, key=lambda a: (x[a], -a))
@@ -309,7 +311,7 @@ def sample_regions(family: WindowFamily, trials: int, seed: int) -> tuple[int, b
     tied draws are redrawn.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidParamsError("trials must be >= 1")
     d = family.ambient_size
     patterns: set[tuple[int, ...]] = set()
     all_faces = True

@@ -165,6 +165,11 @@ def gf_equal(a: RationalGF, b: RationalGF) -> bool:
     return poly_mul(a.num, b.den) == poly_mul(b.num, a.den)
 
 
+def one_plus_x_times(gf: RationalGF) -> RationalGF:
+    """G = 1 + x*F as a canonical rational function."""
+    return rational_gf(poly_add(gf.den, poly_mul((0, 1), gf.num)), gf.den)
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
     """Square matrix of nonnegative integers (walk-counting adjacency)."""

@@ -80,11 +80,7 @@ B6_ENTRIES: tuple[tuple[int, ...], ...] = (
     (2, 2, 1, 0, 1, 1),
 )
 
-COUNT_METHODS = ("oracle", "a14", "b6", "gf")
-
-
-def a14_matrix() -> TransferMatrix:
-    return TransferMatrix(14, A14_ENTRIES)
+COUNT_METHODS = ("oracle", "b6", "gf")
 
 
 def b6_matrix() -> TransferMatrix:
@@ -145,9 +141,8 @@ def gf_2d() -> RationalGF:
 def count_2d(n: int, method: str = "b6", budget: int = oracle.DEFAULT_BUDGET) -> int:
     """Number of vertices V_n of the width-n polytope.
 
-    Methods: `oracle` (full enumeration, n <= 4), `a14` (class-vector
-    propagation; exact only for n <= 3, restricted accordingly), `b6`
-    (entry (5, 6) of the n-th power), `gf` (series coefficient).
+    Methods: `oracle` (full enumeration, n <= 4), `b6` (entry (5, 6) of the
+    n-th power), `gf` (series coefficient).
     """
     if n < 2:
         raise InvalidParamsError("need n >= 2")
@@ -155,16 +150,6 @@ def count_2d(n: int, method: str = "b6", budget: int = oracle.DEFAULT_BUDGET) ->
         if n > 4:
             raise InvalidParamsError("oracle route is restricted to n <= 4")
         return len(oracle.enumerate_vertices(windows_3xn(n), budget))
-    if method == "a14":
-        # the plain matrix-vector propagation overcounts from n = 4 on
-        # (appending can close cycles spanning more than one column pair)
-        if n > 3:
-            raise InvalidParamsError("a14 route is exact only for n <= 3")
-        v = (1,) * 14
-        a = a14_matrix()
-        for _ in range(n - 2):
-            v = tuple(sum(row[j] * v[j] for j in range(14)) for row in a.entries)
-        return sum(v)
     if method == "b6":
         return mat_power_entry(b6_matrix(), n, 4, 5)
     if method == "gf":

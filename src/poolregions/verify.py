@@ -1,7 +1,8 @@
 """Self-verification: cross-method grids and golden-table comparisons.
 
 Each check raises VerificationError with a structured message on mismatch.
-The same checks back the acceptance test suite and the `verify` CLI command;
+The same checks back the acceptance test suite and the `verify` CLI command,
+and `agreed_value` and `face_tables` back the other commands' cross-checks;
 `quick` covers every criterion at reduced grid sizes, `full` runs the
 complete grids.
 """
@@ -9,14 +10,14 @@ complete grids.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from . import facets1d, oracle, seq1d, seq2d
-from .errors import VerificationError
+from .errors import RegimeNotCoveredError, VerificationError
 from .model import windows_1d, windows_3xn
 from .polyalg import (
     gf_equal,
-    poly_add,
-    poly_mul,
+    one_plus_x_times,
     rational_gf,
     series_coeffs,
     smallest_positive_root_bracket,
@@ -51,9 +52,16 @@ def _fail(name, detail):
     raise VerificationError(f"{name}: {detail}")
 
 
-def _one_plus_x_times(gf):
-    """G = 1 + x*F as a canonical rational function."""
-    return rational_gf(poly_add(gf.den, poly_mul((0, 1), gf.num)), gf.den)
+def agreed_value(name, values, tol=0):
+    """The value every method in `values` (method -> value) gives.
+
+    Values agree when each lies within `tol` of the first; otherwise this
+    raises VerificationError naming every method's value.
+    """
+    first = next(iter(values.values()))
+    if any(abs(v - first) > tol for v in values.values()):
+        _fail(name, "methods disagree: " + ", ".join(f"{m}={v}" for m, v in values.items()))
+    return first
 
 
 def check_golden_gf_k3s1():
@@ -74,21 +82,12 @@ def check_cross_method_grid(full=True):
     for k in range(2, kmax + 1):
         for s in range(1, k):
             for n in range(1, nmax + 1):
-                want = seq1d.count_1d(n, k, s, "matrix")
-                got = {
-                    "oracle": seq1d.count_1d(n, k, s, "oracle"),
-                    "gf": seq1d.count_1d(n, k, s, "gf"),
-                }
+                values = {m: seq1d.count_1d(n, k, s, m) for m in ("matrix", "oracle", "gf")}
                 try:
-                    got["closed"] = seq1d.count_1d(n, k, s, "closed")
-                except Exception:
+                    values["closed"] = seq1d.count_1d(n, k, s, "closed")
+                except RegimeNotCoveredError:
                     pass
-                for method, value in got.items():
-                    if value != want:
-                        _fail(
-                            "cross-method",
-                            f"(n={n},k={k},s={s}): matrix={want} {method}={value}",
-                        )
+                agreed_value(f"cross-method (n={n},k={k},s={s})", values)
                 cells += 1
     return f"{cells} grid cells agree across all applicable methods"
 
@@ -99,7 +98,7 @@ def check_large_strides():
         closed = seq1d.gf_closed(k, s)
         if "large-strides" not in closed.regimes:
             _fail("large-strides", f"(k={k},s={s}) regime not detected")
-        if not gf_equal(closed.gf, _one_plus_x_times(seq1d.gf_1d(k, s))):
+        if not gf_equal(closed.gf, one_plus_x_times(seq1d.gf_1d(k, s))):
             _fail("large-strides", f"(k={k},s={s}) closed form != matrix form")
         c = (k - s) * (k - s - 1)
         b = [seq1d.count_1d(n, k, s, "matrix") for n in range(1, 23)]
@@ -115,7 +114,7 @@ def check_proportional_strides():
         closed = seq1d.gf_closed(k, s)
         if "proportional" not in closed.regimes:
             _fail("proportional", f"(k={k},s={s}) regime not detected")
-        if not gf_equal(closed.gf, _one_plus_x_times(seq1d.gf_1d(k, s))):
+        if not gf_equal(closed.gf, one_plus_x_times(seq1d.gf_1d(k, s))):
             _fail("proportional", f"(k={k},s={s}) closed form != matrix form")
         if s == 1:
             # the stride-1 specialization written out directly
@@ -149,28 +148,39 @@ def check_trivial_regime():
     return f"{len(TRIVIAL_PAIRS)} pairs at n <= 5: oracle equals k^n"
 
 
-def check_face_tables(full=True, include_n5=False):
-    """Edge counts and total face counts against the golden tables."""
-    ks = (3, 4, 5, 6) if full else (3, 4)
-    nmax = 5 if include_n5 else (4 if full else 3)
-    checked = 0
+def face_tables(ks, nmax, budget):
+    """Edge and total face counts of the stride-1 polytopes, k in ks, n <= nmax.
+
+    Enumerates each (k, n) cell once and checks both counts against
+    EDGES_TABLE and TOTAL_FACES_TABLE.  Returns {"edges": {k: [...]},
+    "total": {k: [...]}}, one value per n.
+    """
+    edges_table, total_table = {}, {}
     for k in ks:
+        edges_table[k], total_table[k] = [], []
         for n in range(1, nmax + 1):
-            fv = oracle.enumerate_faces(windows_1d(n, k, 1), budget=10**10)
+            fv = oracle.enumerate_faces(windows_1d(n, k, 1), budget=budget)
             edges = fv.counts.get(1, 0)
             total = fv.total() + 1
             if edges != EDGES_TABLE[k][n - 1]:
                 _fail("tables", f"(k={k},n={n}) edges {edges} != {EDGES_TABLE[k][n-1]}")
             if total != TOTAL_FACES_TABLE[k][n - 1]:
                 _fail("tables", f"(k={k},n={n}) total {total} != {TOTAL_FACES_TABLE[k][n-1]}")
-            checked += 1
-    return f"{checked} table cells reproduced (edges and totals)"
+            edges_table[k].append(edges)
+            total_table[k].append(total)
+    return {"edges": edges_table, "total": total_table}
+
+
+def check_face_tables(full=True):
+    """Edge counts and total face counts against the golden tables."""
+    ks = (3, 4, 5, 6) if full else (3, 4)
+    nmax = 4 if full else 3
+    face_tables(ks, nmax, budget=10**10)
+    return f"{len(ks) * nmax} table cells reproduced (edges and totals)"
 
 
 def check_facets(full=True):
     """Facet formula vs oracle; h-representation soundness and tightness."""
-    from fractions import Fraction
-
     kmax, nmax = (5, 4) if full else (4, 3)
     checked = 0
     for k in range(2, kmax + 1):
@@ -178,16 +188,16 @@ def check_facets(full=True):
             for n in range(1, nmax + 1):
                 fam = windows_1d(n, k, s)
                 formula = facets1d.facet_count_formula(n, k, s)
-                got = oracle.facet_count_oracle(fam)
+                fv = oracle.enumerate_faces(fam)
+                got = fv.counts.get(fv.polytope_dim - 1, 0)
                 if formula != got:
                     _fail("facets", f"(n={n},k={k},s={s}) formula {formula} != oracle {got}")
                 two_class = oracle.facet_count_two_classes(fam)
-                fv_dim = oracle.enumerate_faces(fam).polytope_dim
-                if fv_dim == fam.ambient_size - 1 and two_class != got:
+                if fv.polytope_dim == fam.ambient_size - 1 and two_class != got:
                     _fail("facets", f"(n={n},k={k},s={s}) partition scan {two_class} != {got}")
                 checked += 1
                 hrep = facets1d.h_representation(n, k, s)
-                points = _vertex_points(fam)
+                points = facets1d.vertex_points(fam.ambient_size, oracle.enumerate_vertices(fam))
                 for row in hrep.rows():
                     if not all(row.satisfied_by(p) for p in points):
                         _fail("facets", f"(n={n},k={k},s={s}) row {row.label} unsound")
@@ -200,7 +210,7 @@ def check_facets(full=True):
                     diffs = [
                         [a - b for a, b in zip(p, tight[0])] for p in tight[1:]
                     ]
-                    if _rank(diffs, Fraction) != fam.ambient_size - 2:
+                    if _rank(diffs) != fam.ambient_size - 2:
                         _fail(
                             "facets",
                             f"(n={n},k={k},s={s}) row {row.label} not facet-supporting",
@@ -216,19 +226,8 @@ def check_facets(full=True):
     )
 
 
-def _vertex_points(family):
-    K = family.ambient_size
-    points = []
-    for word in oracle.enumerate_vertices(family):
-        p = [0] * K
-        for a in word:
-            p[a] += 1
-        points.append(tuple(p))
-    return points
-
-
-def _rank(rows, field):
-    rows = [list(map(field, r)) for r in rows]
+def _rank(rows):
+    rows = [list(map(Fraction, r)) for r in rows]
     if not rows:
         return 0
     rank = 0
@@ -318,9 +317,11 @@ def check_asymptotics():
     if abs(g31 - 0.8096) > 5e-4:
         _fail("asymptotics", f"growth(3,1) = {g31}")
     for k, s in LARGE_STRIDE_PAIRS:
-        a, b = seq1d.growth_1d(k, s), seq1d.growth_large_strides(k, s)
-        if abs(a - b) > 1e-9:
-            _fail("asymptotics", f"(k={k},s={s}): matrix {a} vs closed {b}")
+        agreed_value(
+            f"asymptotics (k={k},s={s})",
+            {"matrix": seq1d.growth_1d(k, s), "closed": seq1d.growth_large_strides(k, s)},
+            tol=1e-9,
+        )
     g2 = seq2d.growth_2d()
     if abs(g2 - 2.3156) > 1e-3:
         _fail("asymptotics", f"growth_2d = {g2}")

@@ -18,9 +18,8 @@ from poolregions.errors import RegimeNotCoveredError
 from poolregions.model import windows_1d, windows_3xn
 from poolregions.polyalg import (
     gf_equal,
-    poly_add,
+    one_plus_x_times,
     poly_eval,
-    poly_mul,
     rational_gf,
     series_coeffs,
     smallest_positive_root_bracket,
@@ -37,10 +36,6 @@ def criterion(number, name):
         print(f"ACCEPTANCE {number:>2} {name}: FAIL ({time.time()-start:.1f}s)")
         raise
     print(f"ACCEPTANCE {number:>2} {name}: PASS ({time.time()-start:.1f}s)")
-
-
-def one_plus_x_times(gf):
-    return rational_gf(poly_add(gf.den, poly_mul((0, 1), gf.num)), gf.den)
 
 
 def test_criterion_1_golden_gf():
@@ -162,12 +157,7 @@ def test_criterion_7_facets():
                     assert formula == oracle.facet_count_oracle(fam), (n, k, s)
                     rep = facets1d.h_representation(n, k, s)
                     K = fam.ambient_size
-                    points = []
-                    for word in oracle.enumerate_vertices(fam):
-                        p = [0] * K
-                        for a in word:
-                            p[a] += 1
-                        points.append(tuple(p))
+                    points = facets1d.vertex_points(K, oracle.enumerate_vertices(fam))
                     for row in rep.rows():
                         assert all(row.satisfied_by(p) for p in points), (n, k, s, row.label)
                     assert len(rep.inequalities) == formula

@@ -1,5 +1,9 @@
 import json
+import sys
 
+import pytest
+
+from poolregions import seq2d, verify
 from poolregions.cli import main
 
 
@@ -167,3 +171,52 @@ def test_tables_json(capsys):
     code, payload = run_json(capsys, "tables", "--kind", "edges", "--nmax", "2")
     assert code == 0
     assert payload["result"]["3"] == ["3", "11"]
+
+
+def test_vertices_default_route_k_at_most_s(capsys):
+    code, payload = run_json(capsys, "vertices", "--k", "3", "--s", "5", "--n", "2")
+    assert code == 0
+    assert payload["result"] == "9"
+    assert payload["provenance"] == ["closed"]
+
+
+def test_results_beyond_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    answers = []
+    for method in ("gf", "b6"):
+        code, payload = run_json(capsys, "grid3xn", "--n", "4500", "--method", method)
+        assert code == 0
+        answers.append(payload["result"])
+    assert answers[0] == answers[1]
+    assert len(answers[0]) > limit
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("argv", [
+    ("regions", "--k", "3", "--s", "1", "--n", "2", "--sample", "0"),
+    ("--budget", "0", "total-faces", "--k", "3", "--s", "1", "--n", "2"),
+    ("--budget", "-5", "vertices", "--k", "3", "--s", "1", "--n", "3", "--method", "oracle"),
+])
+def test_invalid_input_exit_code(capsys, argv):
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert payload["error"] == "InvalidParamsError"
+
+
+def test_tables_mismatch_is_verification_failure(capsys, monkeypatch):
+    monkeypatch.setitem(verify.EDGES_TABLE, 3, (4, 11, 34, 96, 260))
+    code, payload = run_json(capsys, "tables", "--kind", "total", "--nmax", "1")
+    assert code == 4
+    assert payload["error"] == "verification-failure"
+    assert "edges 3 != 4" in payload["detail"]
+
+
+def test_method_disagreement_is_verification_failure(capsys, monkeypatch):
+    count_2d = seq2d.count_2d
+    monkeypatch.setattr(
+        seq2d, "count_2d", lambda n, method, **kw: count_2d(n, method, **kw) + (method == "gf")
+    )
+    code, payload = run_json(capsys, "grid3xn", "--n", "5")
+    assert code == 4
+    assert payload["error"] == "verification-failure"
+    assert payload["detail"] == "grid3xn: methods disagree: b6=15594, gf=15595"

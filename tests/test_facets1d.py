@@ -9,14 +9,7 @@ from poolregions.model import windows_1d
 
 def vertex_points(n, k, s):
     fam = windows_1d(n, k, s)
-    K = fam.ambient_size
-    points = []
-    for word in oracle.enumerate_vertices(fam):
-        p = [0] * K
-        for a in word:
-            p[a] += 1
-        points.append(tuple(p))
-    return points
+    return facets1d.vertex_points(fam.ambient_size, oracle.enumerate_vertices(fam))
 
 
 def exact_rank(rows):

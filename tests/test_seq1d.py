@@ -12,15 +12,10 @@ from poolregions.faces import is_face, selection_from_word
 from poolregions.model import windows_1d
 from poolregions.polyalg import (
     gf_equal,
-    poly_add,
-    poly_mul,
+    one_plus_x_times,
     rational_gf,
     series_coeffs,
 )
-
-
-def one_plus_x_times(gf):
-    return rational_gf(poly_add(gf.den, poly_mul((0, 1), gf.num)), gf.den)
 
 
 def test_adjacency_k3_s1():
