@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, facets1d, oracle, seq1d, seq2d, verify
+from . import __version__, facets1d, frontier, oracle, seq1d, seq2d, verify
 from .errors import (
     BudgetExceededError,
     InvalidParamsError,
@@ -111,19 +111,20 @@ def _cmd_gf(args):
 
 def _cmd_fvector(args):
     fam, params = _family(args)
-    fv = oracle.enumerate_faces(fam, budget=args.budget)
+    fv = frontier.fvector(fam, budget=args.budget)
     result = {
         "counts": {str(dim): str(c) for dim, c in sorted(fv.counts.items())},
         "polytope_dim": fv.polytope_dim,
         "total_nonempty": str(fv.total()),
     }
-    _emit(args, "fvector", params, result, ["oracle"])
+    _emit(args, "fvector", params, result, ["frontier"])
     return EXIT_OK
 
 
 def _cmd_total_faces(args):
     fam, params = _family(args)
-    _emit(args, "total-faces", params, str(oracle.total_face_count(fam, budget=args.budget)), ["oracle"])
+    total = frontier.fvector(fam, budget=args.budget).total() + 1
+    _emit(args, "total-faces", params, str(total), ["frontier"])
     return EXIT_OK
 
 
@@ -147,9 +148,9 @@ def _cmd_facets(args):
         ]
         provenance.append("derived-hrep")
     if args.oracle:
-        got = oracle.facet_count_oracle(windows_1d(args.n, args.k, args.s), budget=args.budget)
-        verify.agreed_value("facets", {"formula": formula, "oracle": got})
-        provenance.append("oracle")
+        fv = frontier.fvector(windows_1d(args.n, args.k, args.s), budget=args.budget)
+        verify.agreed_value("facets", {"formula": formula, "frontier": fv.facet_count()})
+        provenance.append("frontier")
     _emit(args, "facets", params, result, provenance)
     return EXIT_OK
 
@@ -213,7 +214,7 @@ def _cmd_tables(args):
         for k, values in rows.items():
             print(",".join([k, *values]))
     else:
-        _emit(args, "tables", {"kind": args.kind, "nmax": args.nmax}, rows, ["oracle"])
+        _emit(args, "tables", {"kind": args.kind, "nmax": args.nmax}, rows, ["frontier"])
     return EXIT_OK
 
 
@@ -234,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
-                        help="candidate budget for oracle enumerations")
+                        help="work budget: candidate choice lists of an oracle walk, "
+                             "(state, chosen set) pairs of the frontier DP")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_ks(p, with_n=True):
@@ -262,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid3xn", type=int, metavar="N",
                        help="use the 3-row grid with N columns instead of --k/--s/--n")
 
-    p = sub.add_parser("fvector", help="face counts by dimension (oracle)")
+    p = sub.add_parser("fvector", help="face counts by dimension (frontier DP)")
     add_family(p)
     p.set_defaults(func=_cmd_fvector)
 
@@ -273,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("facets", help="1-D facet count / H-representation")
     add_ks(p)
     p.add_argument("--hrep", action="store_true", help="emit the inequality description")
-    p.add_argument("--oracle", action="store_true", help="cross-check against face enumeration")
+    p.add_argument("--oracle", action="store_true",
+                   help="cross-check the formula against the frontier DP's facet count")
     p.add_argument("--paper-literal", action="store_true",
                    help="diff report for the uncorrected published description")
     p.set_defaults(func=_cmd_facets)

@@ -1,0 +1,170 @@
+"""Frontier-state DP for f-vectors: the face criterion read window by window.
+
+The faces of a window family's polytope are the per-window choice lists
+whose class graph is acyclic (see `faces`).  Instead of listing them one by
+one (`oracle.enumerate_faces`), this module tallies them with the
+transfer-matrix method (Stanley, EC1 §4.7): it processes the windows one at
+a time and keeps, for each partial choice list, only what later windows can
+still see of it.
+
+A coordinate is *live* while a later window still uses it.  The state is
+the class partition of the live coordinates touched so far, plus the
+transitively closed reachability among those classes.  A class whose
+coordinates are all retired can gain no edge and join no merge any more, so
+it leaves the state; paths through it survive in the closure.  The value of
+a state is a polynomial in the number of retired classes, so at the end the
+coefficient at c classes counts the faces of dimension d - c.  Coordinates
+that no window uses are retired singletons from the start.
+"""
+
+from __future__ import annotations
+
+from .errors import BudgetExceededError, InvalidParamsError
+from .model import WindowFamily
+from .oracle import DEFAULT_BUDGET, FVector
+
+
+def _window_order(masks):
+    """Greedy processing order and the live coordinates after each step.
+
+    Repeatedly takes the window that leaves the fewest live coordinates,
+    breaking ties by index.  The tally does not depend on the order, but the
+    number of states does: the row-first order of `windows_3xn` keeps a
+    whole row live and blows up, while this order sweeps 3xn column by
+    column.
+    """
+    uses = {}
+    for m in masks:
+        for b in _bits(m):
+            uses[b] = uses.get(b, 0) + 1
+    remaining = list(range(len(masks)))
+    touched = 0
+    order, lives = [], []
+    while remaining:
+        used = once = 0
+        for b, c in uses.items():
+            if c:
+                used |= b
+                if c == 1:
+                    once |= b
+
+        def live_after(i):
+            return (touched | masks[i]) & used & ~(masks[i] & once)
+
+        best = min(remaining, key=lambda i: (live_after(i).bit_count(), i))
+        lives.append(live_after(best))
+        order.append(best)
+        remaining.remove(best)
+        touched |= masks[best]
+        for b in _bits(masks[best]):
+            uses[b] -= 1
+    return order, lives
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _step(states, wmask, live, width):
+    """Extend every state by every nonempty chosen subset of one window.
+
+    A state is a sorted tuple of (class mask, reach mask) pairs over live
+    coordinates; the reach mask is the union of the classes the class
+    reaches.  Values pack the retired-class polynomial into one integer,
+    `width` bits per coefficient, so retiring r classes is a shift by
+    r * width.
+    """
+    bits = list(_bits(wmask))
+    subsets = []
+    for sub in range(1, 1 << len(bits)):
+        chosen = sum(b for t, b in enumerate(bits) if sub >> t & 1)
+        subsets.append((chosen, wmask & ~chosen))
+
+    out = {}
+    for state, value in states.items():
+        touched = 0
+        for cm, _ in state:
+            touched |= cm
+        hit = [cls for cls in state if cls[0] & wmask]
+        for chosen, rest in subsets:
+            merged = chosen & ~touched
+            reach = 0
+            for cm, rm in hit:
+                if cm & chosen:
+                    merged |= cm
+                    reach |= rm
+            # merging two classes where one reaches the other closes a cycle;
+            # an unchosen coordinate inside the merged class is a loop
+            if reach & merged or rest & merged:
+                continue
+            for cm, rm in hit:
+                if cm & rest:
+                    if rm & merged:
+                        break  # the new edge closes a cycle
+                    reach |= cm | rm
+            else:
+                fresh = rest & ~touched
+                reach |= fresh
+                retired = 0
+                new = []
+                for cm, rm in state:
+                    if cm & merged:
+                        continue
+                    if rm & merged:
+                        rm |= merged | reach
+                    if cm & live:
+                        new.append((cm & live, rm & live))
+                    else:
+                        retired += 1
+                for cm, rm in ((merged, reach), *((b, 0) for b in _bits(fresh))):
+                    if cm & live:
+                        new.append((cm & live, rm & live))
+                    else:
+                        retired += 1
+                key = tuple(sorted(new))
+                out[key] = out.get(key, 0) + (value << retired * width)
+    return out
+
+
+def fvector(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVector:
+    """Nonempty faces by dimension, by DP over the windows.
+
+    Equals `oracle.enumerate_faces(family)`.  The budget bounds the
+    (state, chosen set) pairs examined: BudgetExceededError is raised before
+    a window whose step would take the running total over it.
+    """
+    if budget < 1:
+        raise InvalidParamsError(f"budget must be >= 1, got {budget}")
+    d = family.ambient_size
+    masks = [sum(1 << a for a in w) for w in family.windows]
+    # every coefficient counts partial choice lists, fewer than the product
+    # of the (2^|w| - 1) choices, so sum |w| bits hold it without carries
+    width = sum(m.bit_count() for m in masks)
+    order, lives = _window_order(masks)
+    states = {(): 1}
+    work = 0
+    for i, live in zip(order, lives):
+        work += len(states) * ((1 << masks[i].bit_count()) - 1)
+        if work > budget:
+            raise BudgetExceededError(
+                f"frontier DP needs {work}+ (state, chosen set) pairs, over budget {budget}"
+            )
+        states = _step(states, masks[i], live, width)
+    packed = states[()]
+    covered = 0
+    for m in masks:
+        covered |= m
+    unused = d - covered.bit_count()
+    counts = {}
+    retired = 0
+    while packed:
+        c = packed & ((1 << width) - 1)
+        if c:
+            counts[d - unused - retired] = c
+        packed >>= width
+        retired += 1
+    counts = dict(sorted(counts.items()))
+    return FVector(counts=counts, polytope_dim=max(counts))

@@ -33,6 +33,9 @@ class FVector:
     def total(self) -> int:
         return sum(self.counts.values())
 
+    def facet_count(self) -> int:
+        return self.counts.get(self.polytope_dim - 1, 0)
+
 
 def _check_budget(sizes, per_window, budget):
     if budget < 1:
@@ -229,8 +232,7 @@ def total_face_count(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> int:
 
 def facet_count_oracle(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> int:
     """Number of faces of dimension polytope_dim - 1."""
-    fv = enumerate_faces(family, budget)
-    return fv.counts.get(fv.polytope_dim - 1, 0)
+    return enumerate_faces(family, budget).facet_count()
 
 
 def facet_count_two_classes(family: WindowFamily) -> int:
@@ -296,11 +298,16 @@ def _mix64(z):
     return z ^ (z >> 31)
 
 
+_TWO64 = 18446744073709551616.0
+
+
 def _uniform01(seed, trial, coord, attempt):
     # counter-based: the value depends only on (seed, trial, coord, attempt),
-    # so results are identical under any partitioning of the trial range
+    # so results are identical under any partitioning of the trial range;
+    # sample_regions computes the same values with the seed and trial
+    # mixing hoisted out of the coordinate loop
     h = _mix64(_mix64(_mix64(seed & _M64) ^ trial) ^ (coord + (attempt << 32)))
-    return h / 18446744073709551616.0
+    return h / _TWO64
 
 
 def sample_regions(family: WindowFamily, trials: int, seed: int) -> tuple[int, bool]:
@@ -315,10 +322,13 @@ def sample_regions(family: WindowFamily, trials: int, seed: int) -> tuple[int, b
     d = family.ambient_size
     patterns: set[tuple[int, ...]] = set()
     all_faces = True
+    mixed_seed = _mix64(seed & _M64)
     for t in range(trials):
+        mixed_trial = _mix64(mixed_seed ^ t)
         attempt = 0
         while True:
-            x = [_uniform01(seed, t, c, attempt) for c in range(d)]
+            shift = attempt << 32
+            x = [_mix64(mixed_trial ^ (c + shift)) / _TWO64 for c in range(d)]
             try:
                 word = region_pattern(family, x)
                 break

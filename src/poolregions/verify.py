@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import facets1d, oracle, seq1d, seq2d
+from . import facets1d, frontier, oracle, seq1d, seq2d
 from .errors import RegimeNotCoveredError, VerificationError
 from .model import windows_1d, windows_3xn
 from .polyalg import (
@@ -151,15 +151,15 @@ def check_trivial_regime():
 def face_tables(ks, nmax, budget):
     """Edge and total face counts of the stride-1 polytopes, k in ks, n <= nmax.
 
-    Enumerates each (k, n) cell once and checks both counts against
-    EDGES_TABLE and TOTAL_FACES_TABLE.  Returns {"edges": {k: [...]},
+    Counts each (k, n) cell once with the frontier DP and checks both counts
+    against EDGES_TABLE and TOTAL_FACES_TABLE.  Returns {"edges": {k: [...]},
     "total": {k: [...]}}, one value per n.
     """
     edges_table, total_table = {}, {}
     for k in ks:
         edges_table[k], total_table[k] = [], []
         for n in range(1, nmax + 1):
-            fv = oracle.enumerate_faces(windows_1d(n, k, 1), budget=budget)
+            fv = frontier.fvector(windows_1d(n, k, 1), budget=budget)
             edges = fv.counts.get(1, 0)
             total = fv.total() + 1
             if edges != EDGES_TABLE[k][n - 1]:
@@ -172,15 +172,27 @@ def face_tables(ks, nmax, budget):
 
 
 def check_face_tables(full=True):
-    """Edge counts and total face counts against the golden tables."""
+    """Edge counts and total face counts against the golden tables.
+
+    The frontier DP fills the tables; the oracle walks every cell again and
+    must agree with it.
+    """
     ks = (3, 4, 5, 6) if full else (3, 4)
     nmax = 4 if full else 3
-    face_tables(ks, nmax, budget=10**10)
+    tables = face_tables(ks, nmax, budget=10**10)
+    for k in ks:
+        for n in range(1, nmax + 1):
+            fv = oracle.enumerate_faces(windows_1d(n, k, 1), budget=10**10)
+            for kind, got in (("edges", fv.counts.get(1, 0)), ("total", fv.total() + 1)):
+                agreed_value(
+                    f"tables (k={k},n={n}) {kind}",
+                    {"frontier": tables[kind][k][n - 1], "oracle": got},
+                )
     return f"{len(ks) * nmax} table cells reproduced (edges and totals)"
 
 
 def check_facets(full=True):
-    """Facet formula vs oracle; h-representation soundness and tightness."""
+    """Facet formula vs oracle vs frontier DP; h-representation soundness and tightness."""
     kmax, nmax = (5, 4) if full else (4, 3)
     checked = 0
     for k in range(2, kmax + 1):
@@ -189,9 +201,12 @@ def check_facets(full=True):
                 fam = windows_1d(n, k, s)
                 formula = facets1d.facet_count_formula(n, k, s)
                 fv = oracle.enumerate_faces(fam)
-                got = fv.counts.get(fv.polytope_dim - 1, 0)
+                got = fv.facet_count()
                 if formula != got:
                     _fail("facets", f"(n={n},k={k},s={s}) formula {formula} != oracle {got}")
+                dp = frontier.fvector(fam)
+                if dp != fv:
+                    _fail("facets", f"(n={n},k={k},s={s}) frontier {dp.counts} != oracle {fv.counts}")
                 two_class = oracle.facet_count_two_classes(fam)
                 if fv.polytope_dim == fam.ambient_size - 1 and two_class != got:
                     _fail("facets", f"(n={n},k={k},s={s}) partition scan {two_class} != {got}")
@@ -279,6 +294,9 @@ def check_two_dim(full=True, include_q5_enumeration=False):
         got = oracle.facet_count_two_classes(windows_3xn(n))
         if got != Q_FACETS[n]:
             _fail("two-dim", f"Q_{n} facets via partition scan = {got} != {Q_FACETS[n]}")
+        got = frontier.fvector(windows_3xn(n)).facet_count()
+        if got != Q_FACETS[n]:
+            _fail("two-dim", f"Q_{n} facets via frontier DP = {got} != {Q_FACETS[n]}")
     extra = ""
     if include_q5_enumeration:
         got = oracle.facet_count_oracle(windows_3xn(5), budget=10**10)

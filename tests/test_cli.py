@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from poolregions import seq2d, verify
+from poolregions import __version__, seq2d, verify
 from poolregions.cli import main
 
 
@@ -89,12 +89,31 @@ def test_fvector(capsys):
     code, payload = run_json(capsys, "fvector", "--k", "3", "--s", "1", "--n", "2")
     assert code == 0
     assert payload["result"]["counts"] == {"0": "7", "1": "11", "2": "6", "3": "1"}
+    assert payload["provenance"] == ["frontier"]
+
+
+def test_fvector_output_bytes(capsys):
+    code, out = run_cli(capsys, "fvector", "--k", "3", "--s", "1", "--n", "2")
+    assert code == 0
+    assert out == (
+        '{"command": "fvector", "params": {"n": 2, "k": 3, "s": 1}, '
+        '"result": {"counts": {"0": "7", "1": "11", "2": "6", "3": "1"}, '
+        '"polytope_dim": 3, "total_nonempty": "25"}, "provenance": ["frontier"], '
+        f'"version": "{__version__}"}}\n'
+    )
 
 
 def test_total_faces_grid(capsys):
     code, payload = run_json(capsys, "total-faces", "--k", "4", "--s", "1", "--n", "2")
     assert code == 0
     assert payload["result"] == "58"
+    assert payload["provenance"] == ["frontier"]
+
+
+def test_total_faces_budget_exceeded(capsys):
+    code, payload = run_json(capsys, "--budget", "10", "total-faces", "--grid3xn", "4")
+    assert code == 3
+    assert payload["error"] == "budget-exceeded"
 
 
 def test_facets_hrep(capsys):
@@ -171,6 +190,15 @@ def test_tables_json(capsys):
     code, payload = run_json(capsys, "tables", "--kind", "edges", "--nmax", "2")
     assert code == 0
     assert payload["result"]["3"] == ["3", "11"]
+
+
+@pytest.mark.parametrize("kind, table", [("edges", verify.EDGES_TABLE), ("total", verify.TOTAL_FACES_TABLE)])
+def test_tables_nmax5_under_default_budget(capsys, kind, table):
+    code, payload = run_json(capsys, "tables", "--kind", kind, "--nmax", "5")
+    assert code == 0
+    assert {k: row[4] for k, row in payload["result"].items()} == {
+        str(k): str(row[4]) for k, row in table.items()
+    }
 
 
 def test_vertices_default_route_k_at_most_s(capsys):

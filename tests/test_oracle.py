@@ -167,6 +167,28 @@ def test_sample_regions_converges_1d():
     assert distinct == 2
 
 
+def test_sample_regions_draws_equal_uniform01(monkeypatch):
+    # sample_regions hoists the seed and trial mixing out of _uniform01; the
+    # draws must stay bit-identical, including the redraw after a tie
+    seen = []
+    real = oracle.region_pattern
+
+    def tie_first_draw(family, x):
+        seen.append(list(x))
+        if len(seen) % 2:
+            raise TieDetectedError("forced redraw")
+        return real(family, x)
+
+    monkeypatch.setattr(oracle, "region_pattern", tie_first_draw)
+    fam, seed = windows_3xn(2), 2**70 + 5
+    oracle.sample_regions(fam, 300, seed)
+    assert seen == [
+        [oracle._uniform01(seed, t, c, attempt) for c in range(fam.ambient_size)]
+        for t in range(300)
+        for attempt in (0, 1)
+    ]
+
+
 def test_sample_regions_deterministic():
     a = oracle.sample_regions(windows_1d(3, 3, 1), 500, seed=123)
     b = oracle.sample_regions(windows_1d(3, 3, 1), 500, seed=123)
