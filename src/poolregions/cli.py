@@ -320,9 +320,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one instance serves every call
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # counts such as V_4500 have more digits than the default str(int)
     # limit; Pythons before 3.10.7 have no limit and no setter
     max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()

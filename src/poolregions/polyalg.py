@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
+from operator import mul
 
 from .errors import (
     InvalidParamsError,
@@ -189,84 +190,129 @@ class TransferMatrix:
 
 
 def mat_vec(m: TransferMatrix, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m.entries)
+    """M . v as a tuple."""
+    return tuple(sum(map(mul, row, v)) for row in m.entries)
 
 
 def vec_mat(v, m: TransferMatrix):
-    p = m.size
-    return tuple(sum(v[i] * m.entries[i][j] for i in range(p)) for j in range(p))
+    """v . M as a tuple."""
+    return tuple(sum(map(mul, v, col)) for col in zip(*m.entries))
+
+
+def _mat_mul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def vec_mat_power(v, m: TransferMatrix, n: int):
+    """v . M^n by binary powering: about log2(n) squarings of M."""
+    if n < 0:
+        raise InvalidParamsError("matrix power must be nonnegative")
+    v = tuple(v)
+    power = m
+    while n:
+        if n & 1:
+            v = vec_mat(v, power)
+        n >>= 1
+        if n:
+            power = TransferMatrix(m.size, _mat_mul(power.entries, power.entries))
+    return v
 
 
 def mat_power_entry(m: TransferMatrix, n: int, i: int, j: int) -> int:
     """Entry (i, j), zero-based, of the n-th power (exact big integers)."""
-    v = tuple(1 if t == j else 0 for t in range(m.size))
-    for _ in range(n):
-        v = mat_vec(m, v)
-    return v[i]
+    e_i = tuple(1 if t == i else 0 for t in range(m.size))
+    return vec_mat_power(e_i, m, n)[j]
+
+
+def _bareiss_pivots(rows):
+    """Fraction-free (Bareiss) elimination of an integer matrix.
+
+    Returns the pivots and the sign of the row swaps.  Each column with a
+    nonzero entry on or below the current row gives one pivot, moved up by a
+    row swap when needed.  After the t-th pivot every entry below it is a
+    (t+1)-minor of the matrix, so the division by the previous pivot is
+    exact; the number of pivots is the rank, and the last pivot of a
+    nonsingular square matrix is its determinant up to the sign.
+    """
+    a = [list(r) for r in rows]
+    pivots = []
+    sign = 1
+    prev = 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == len(a):
+            break
+        k = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            a[r], a[k] = a[k], a[r]
+            sign = -sign
+        pivot_row = a[r]
+        pivot = pivot_row[c]
+        tail = pivot_row[c + 1:]
+        for row in a[r + 1:]:
+            f = row[c]
+            row[c + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+        pivots.append(pivot)
+        prev = pivot
+    return pivots, sign
 
 
 def _bareiss_det(rows):
     """Fraction-free determinant of an integer matrix."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    pivots, sign = _bareiss_pivots(rows)
+    return sign * pivots[-1] if len(pivots) == len(rows) else 0
+
+
+def int_rank(rows) -> int:
+    """Rank of an integer matrix, by fraction-free elimination."""
+    return len(_bareiss_pivots(rows)[0])
 
 
 def det_poly(m: TransferMatrix) -> IntPoly:
     """det(I - x*M) as an integer polynomial of degree <= size.
 
     Evaluation-interpolation: the scalar determinant is computed exactly at
-    size+1 integer points by fraction-free elimination, then the (degree
-    bounded) polynomial is recovered by Lagrange interpolation over Q.
+    x = 0..p (p = size) by fraction-free elimination, then the polynomial is
+    recovered from its forward differences in the falling-factorial (Newton)
+    basis.  Scaling by p! keeps every step in the integers; the final
+    division by p! must be exact.
     """
     p = m.size
-    xs = list(range(p + 1))
     ys = []
-    for x0 in xs:
+    for x0 in range(p + 1):
         rows = [
             [(1 if i == j else 0) - x0 * m.entries[i][j] for j in range(p)]
             for i in range(p)
         ]
         ys.append(_bareiss_det(rows))
-    # Lagrange interpolation with exact rationals
-    coeffs = [Fraction(0)] * (p + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis = [Fraction(1)]
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            # multiply basis by (x - xj)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for t, c in enumerate(basis):
-                nxt[t] -= c * xj
-                nxt[t + 1] += c
-            basis = nxt
-            denom *= xi - xj
-        scale = Fraction(yi, denom)
-        for t, c in enumerate(basis):
-            coeffs[t] += c * scale
+    # forward differences: diffs[j] = (Delta^j f)(0)
+    diffs = []
+    while ys:
+        diffs.append(ys[0])
+        ys = [b - a for a, b in zip(ys, ys[1:])]
+    # p! f(x) = sum_j diffs[j] (p!/j!) x(x-1)...(x-j+1), by Horner in the
+    # Newton form from the top difference down
+    scale = factorial(p)
+    weights = [scale]
+    for j in range(1, p + 1):
+        weights.append(weights[-1] // j)  # weights[j] = p!/j!
+    acc = [diffs[p] * weights[p]]
+    for j in range(p - 1, -1, -1):
+        # acc <- acc * (x - j) + diffs[j] * p!/j!
+        nxt = [0] + acc
+        for t, c in enumerate(acc):
+            nxt[t] -= j * c
+        nxt[0] += diffs[j] * weights[j]
+        acc = nxt
     out = []
-    for c in coeffs:
-        if c.denominator != 1:
+    for c in acc:
+        q, r = divmod(c, scale)
+        if r:
             raise ArithmeticError("interpolation of det(I-xM) left the integers")
-        out.append(int(c))
+        out.append(q)
     return poly(out)
 
 
@@ -325,45 +371,122 @@ def root_upper_bound(p) -> Fraction:
     return 1 + Fraction(biggest, lead)
 
 
-def smallest_positive_root_bracket(p, tol=1e-12) -> tuple[Fraction, Fraction]:
-    """Exact-sign bracket (lo, hi) around the least positive root, hi-lo <= tol.
+def _sign_at(p, x) -> int:
+    """Sign of p at a rational x = a/b (b > 0): the sign of b^deg * p(a/b)."""
+    a, b = x.numerator, x.denominator
+    acc = 0
+    scale = 1
+    for c in reversed(p):
+        acc = acc * a + c * scale
+        scale *= b
+    return _sign(acc)
 
-    p(0) must be positive.  The scan starts on (0, 1] and doubles the range
-    up to the Cauchy bound, refining the grid when no sign change shows up;
-    signs are evaluated exactly at rational points, so the bracket never
-    suffers rounding.  Uniqueness inside the bracket is not verified.
+
+def _prem(a, b):
+    """Pseudo-remainder of a by b: lead(b)^(deg a - deg b + 1) * a mod b."""
+    r = list(a)
+    lead = b[-1]
+    db = len(b) - 1
+    for i in range(len(a) - len(b), -1, -1):
+        coef = r[i + db]
+        r = [c * lead for c in r]
+        for j, bc in enumerate(b):
+            r[i + j] -= coef * bc
+    return poly(r)
+
+
+def _sturm_chain(p):
+    """Sturm sequence of p, built with primitive integer pseudo-remainders.
+
+    Terms are p, p', then each negated remainder divided by its positive
+    content.  When p has a multiple root the chain ends in gcd(p, p') of
+    positive degree; every term is then divided by it, which leaves a Sturm
+    sequence of the square-free part with the same real roots.
+    """
+    chain = [p]
+    deriv = poly(i * c for i, c in enumerate(p))[1:]
+    if deriv:
+        chain.append(deriv)
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r = _prem(a, b)
+        if not r:
+            break
+        # -(a mod b) up to a positive factor: lead(b)^(deg a - deg b + 1)
+        # is negative exactly when lead(b) < 0 and that exponent is odd
+        flip = b[-1] < 0 and (len(a) - len(b)) % 2 == 0
+        g = poly_content(r)
+        chain.append(tuple(c // g if flip else -c // g for c in r))
+    if len(chain[-1]) > 1:
+        g, _ = poly_primitive(chain[-1])
+        chain = [poly_divexact(t, g) for t in chain]
+    return chain
+
+
+def _variations(chain, x) -> int:
+    signs = [s for s in (_sign_at(t, x) for t in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def smallest_positive_root_bracket(p, tol=1e-12) -> tuple[Fraction, Fraction]:
+    """Certified bracket (lo, hi] around the least positive root, hi-lo <= tol.
+
+    p(0) must be positive.  The Sturm sequence of p counts its distinct
+    roots in any interval (a, b] as V(a) - V(b), V being the number of sign
+    variations; a zero count on (0, bound] (the Cauchy bound) raises
+    NoPositiveRootError.  A 64-point grid scan on (0, 1], doubling the range
+    up to the bound, finds the first cell (lo, hi] with p(hi) <= 0.  When the
+    Sturm count proves that (0, lo] holds no root and the cell exactly one,
+    the cell is bisected on exact signs, so p(lo) > 0 >= p(hi).  Otherwise
+    (several roots in one cell, or only roots of even multiplicity) the
+    least root is isolated by bisecting on Sturm counts.  All signs are
+    exact at rational points, so the bracket never suffers rounding.
     """
     p = poly(p)
-    if not p or poly_eval(p, 0) <= 0:
+    if not p or p[0] <= 0:
         raise InvalidParamsError("need p(0) > 0")
     bound = root_upper_bound(p)
     tol_f = Fraction(tol).limit_denominator(10**18)
+    chain = _sturm_chain(p)
+    v0 = _variations(chain, 0)
+    if _variations(chain, bound) == v0:
+        raise NoPositiveRootError("Sturm count: no root in (0, root bound]")
 
-    bracket = None
-    grid = 64
     hi = Fraction(1)
-    while bracket is None:
+    cell = None
+    while cell is None:
         lo_pt = Fraction(0)
-        step = hi / grid
+        step = hi / 64
         x = step
         while x <= hi:
-            if _sign(poly_eval(p, x)) <= 0:
-                bracket = (lo_pt, x)
+            if _sign_at(p, x) <= 0:
+                cell = (lo_pt, x)
                 break
             lo_pt = x
             x += step
-        if bracket is None:
-            if hi < bound:
-                hi *= 2
-            elif grid < 1 << 16:
-                grid *= 4
-            else:
-                raise NoPositiveRootError("no sign change below the root bound")
+        if cell is None:
+            if hi >= bound:
+                break
+            hi *= 2
 
-    lo, hi = bracket
+    lo = Fraction(0)
+    if cell is not None:
+        lo, hi = cell
+        v_lo = _variations(chain, lo)
+        if v_lo != v0:
+            lo = Fraction(0)
+        elif v_lo - _variations(chain, hi) == 1:
+            while hi - lo > tol_f:
+                mid = (lo + hi) / 2
+                if _sign_at(p, mid) <= 0:
+                    hi = mid
+                else:
+                    lo = mid
+            return lo, hi
+    # no root in (0, lo], at least one in (lo, hi]
     while hi - lo > tol_f:
         mid = (lo + hi) / 2
-        if _sign(poly_eval(p, mid)) <= 0:
+        if _variations(chain, mid) < v0:
             hi = mid
         else:
             lo = mid

@@ -30,7 +30,7 @@ from .polyalg import (
     rational_gf,
     series_coeffs,
     smallest_positive_root,
-    vec_mat,
+    vec_mat_power,
 )
 
 COUNT_METHODS = ("oracle", "matrix", "gf", "closed")
@@ -169,11 +169,7 @@ def count_1d(n: int, k: int, s: int, method: str = "matrix", budget: int = oracl
     if method == "oracle":
         return len(oracle.enumerate_vertices(windows_1d(n, k, s), budget))
     if method == "matrix":
-        m = adjacency(k, s)
-        v = (1,) * k
-        for _ in range(n - 1):
-            v = vec_mat(v, m)
-        return sum(v)
+        return sum(vec_mat_power((1,) * k, adjacency(k, s), n - 1))
     if method == "gf":
         return series_coeffs(gf_1d(k, s), n - 1)[n - 1]
     if method == "closed":

@@ -10,13 +10,13 @@ complete grids.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import facets1d, frontier, oracle, seq1d, seq2d
 from .errors import RegimeNotCoveredError, VerificationError
 from .model import windows_1d, windows_3xn
 from .polyalg import (
     gf_equal,
+    int_rank,
     one_plus_x_times,
     rational_gf,
     series_coeffs,
@@ -225,7 +225,7 @@ def check_facets(full=True):
                     diffs = [
                         [a - b for a, b in zip(p, tight[0])] for p in tight[1:]
                     ]
-                    if _rank(diffs) != fam.ambient_size - 2:
+                    if int_rank(diffs) != fam.ambient_size - 2:
                         _fail(
                             "facets",
                             f"(n={n},k={k},s={s}) row {row.label} not facet-supporting",
@@ -239,29 +239,6 @@ def check_facets(full=True):
         f"{checked} (n,k,s) cells: formula == oracle, h-rep sound+tight; "
         f"printed description violates {report['rows_violated']} rows at (2,3,1)"
     )
-
-
-def _rank(rows):
-    rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return 0
-    rank = 0
-    rr = 0
-    for c in range(len(rows[0])):
-        piv = next((i for i in range(rr, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rr], rows[piv] = rows[piv], rows[rr]
-        lead = rows[rr]
-        for i in range(len(rows)):
-            if i != rr and rows[i][c]:
-                f = rows[i][c] / lead[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
-        rr += 1
-        rank += 1
-        if rr == len(rows):
-            break
-    return rank
 
 
 def check_two_dim(full=True, include_q5_enumeration=False):

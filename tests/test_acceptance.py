@@ -9,7 +9,6 @@ full face enumeration and the n = 5 table columns) carry the `full` marker:
 import math
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 import pytest
 
@@ -18,6 +17,7 @@ from poolregions.errors import RegimeNotCoveredError
 from poolregions.model import windows_1d, windows_3xn
 from poolregions.polyalg import (
     gf_equal,
+    int_rank,
     one_plus_x_times,
     poly_eval,
     rational_gf,
@@ -125,28 +125,6 @@ def test_criterion_6_golden_tables_n5():
             assert fv.total() + 1 == TOTAL_FACES_TABLE[k][4], k
 
 
-def _exact_rank(rows):
-    rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return 0
-    rank = rr = 0
-    for c in range(len(rows[0])):
-        piv = next((i for i in range(rr, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rr], rows[piv] = rows[piv], rows[rr]
-        lead = rows[rr]
-        for i in range(len(rows)):
-            if i != rr and rows[i][c]:
-                f = rows[i][c] / lead[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
-        rr += 1
-        rank += 1
-        if rr == len(rows):
-            break
-    return rank
-
-
 def test_criterion_7_facets():
     with criterion(7, "facet counts and h-representation"):
         for k in range(2, 6):
@@ -165,7 +143,7 @@ def test_criterion_7_facets():
                         tight = [p for p in points if row.tight_at(p)]
                         assert tight, (n, k, s, row.label)
                         diffs = [[a - b for a, b in zip(p, tight[0])] for p in tight[1:]]
-                        assert _exact_rank(diffs) == K - 2, (n, k, s, row.label)
+                        assert int_rank(diffs) == K - 2, (n, k, s, row.label)
         report = facets1d.printed_description_diff(
             2, 3, 1, oracle.enumerate_vertices(windows_1d(2, 3, 1))
         )

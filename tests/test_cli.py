@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
-from poolregions import __version__, seq2d, verify
+import poolregions
+from poolregions import __version__, cli, seq2d, verify
 from poolregions.cli import main
 
 
@@ -248,3 +251,46 @@ def test_method_disagreement_is_verification_failure(capsys, monkeypatch):
     assert code == 4
     assert payload["error"] == "verification-failure"
     assert payload["detail"] == "grid3xn: methods disagree: b6=15594, gf=15595"
+
+
+# valid commands of several kinds, with an argparse rejection (exit 2) between
+MIXED_ARGV = [
+    ("vertices", "--k", "4", "--s", "2", "--n", "9"),
+    ("growth", "--k", "5", "--s", "2"),
+    ("vertices", "--k", "3", "--n", "2"),
+    ("--format", "csv", "grid3xn", "--n", "6"),
+    ("gf", "--k", "6", "--s", "3", "--closed"),
+    ("grid2xn", "--n", "5"),
+]
+
+
+def run_alone(argv):
+    src = os.path.dirname(os.path.dirname(poolregions.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "poolregions.cli", *argv], env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_calls_in_one_process_match_separate_runs(capsys):
+    for argv in MIXED_ARGV:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == run_alone(argv), argv
+    assert [run_alone(argv)[0] for argv in MIXED_ARGV] == [0, 0, 2, 0, 0, 0]
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    for argv in MIXED_ARGV[:2]:
+        assert main(list(argv)) == 0
+    assert built == [1]
+    # the public builder still hands out a fresh parser
+    assert build_parser() is not build_parser()

@@ -1,37 +1,14 @@
-from fractions import Fraction
-
 import pytest
 
 from poolregions import facets1d, oracle
 from poolregions.errors import InvalidParamsError
 from poolregions.model import windows_1d
+from poolregions.polyalg import int_rank
 
 
 def vertex_points(n, k, s):
     fam = windows_1d(n, k, s)
     return facets1d.vertex_points(fam.ambient_size, oracle.enumerate_vertices(fam))
-
-
-def exact_rank(rows):
-    rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return 0
-    rank = rr = 0
-    for c in range(len(rows[0])):
-        piv = next((i for i in range(rr, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rr], rows[piv] = rows[piv], rows[rr]
-        lead = rows[rr]
-        for i in range(len(rows)):
-            if i != rr and rows[i][c]:
-                f = rows[i][c] / lead[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
-        rr += 1
-        rank += 1
-        if rr == len(rows):
-            break
-    return rank
 
 
 def test_formula_values():
@@ -106,7 +83,7 @@ def test_hrep_sound_and_tight(n, k, s):
         tight = [p for p in points if row.tight_at(p)]
         assert tight, row.label
         diffs = [[a - b for a, b in zip(p, tight[0])] for p in tight[1:]]
-        assert exact_rank(diffs) == K - 2, row.label
+        assert int_rank(diffs) == K - 2, row.label
 
 
 def test_printed_rows_shape():

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poolregions import seq1d
 from poolregions.errors import (
     InvalidParamsError,
     NonIntegerCoefficientError,
@@ -14,9 +15,11 @@ from poolregions.errors import (
 from poolregions.polyalg import (
     RationalGF,
     TransferMatrix,
+    _bareiss_det,
     det_poly,
     gf_equal,
     gf_from_matrix,
+    int_rank,
     mat_power_entry,
     mat_vec,
     poly,
@@ -27,7 +30,18 @@ from poolregions.polyalg import (
     series_coeffs,
     smallest_positive_root,
     smallest_positive_root_bracket,
+    vec_mat,
+    vec_mat_power,
 )
+
+
+def transfer_matrices(max_size, max_entry):
+    return st.integers(1, max_size).flatmap(
+        lambda p: st.lists(
+            st.lists(st.integers(0, max_entry), min_size=p, max_size=p),
+            min_size=p, max_size=p,
+        ).map(lambda rows: TransferMatrix(p, rows))
+    )
 
 
 def test_poly_canonical():
@@ -74,6 +88,96 @@ def test_det_poly_matches_sympy_charpoly():
         want = sympy.expand((sympy.eye(p) - x * sympy.Matrix(m.entries)).det())
         got = sum(c * x**i for i, c in enumerate(det_poly(m)))
         assert sympy.simplify(want - got) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(transfer_matrices(8, 5))
+def test_det_poly_off_the_interpolation_nodes(m):
+    # det_poly interpolates at x = 0..p; check it at points it never saw
+    p = m.size
+    for x0 in (-3, -1, p + 1, p + 4):
+        rows = [
+            [(1 if i == j else 0) - x0 * m.entries[i][j] for j in range(p)]
+            for i in range(p)
+        ]
+        assert poly_eval(det_poly(m), x0) == _bareiss_det(rows)
+
+
+def test_bareiss_det_needs_row_swaps():
+    assert _bareiss_det([[0, 1], [1, 0]]) == -1
+    assert _bareiss_det([[0, 2, 1], [0, 1, 3], [4, 0, 0]]) == 20
+    assert _bareiss_det([[0, 1], [0, 2]]) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(transfer_matrices(6, 3), st.data())
+def test_vec_mat_power_equals_repeated_vec_mat(m, data):
+    v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=m.size, max_size=m.size)))
+    step = v
+    for e in range(41):
+        assert vec_mat_power(v, m, e) == step
+        step = vec_mat(step, m)
+
+
+def test_vec_mat_and_mat_vec_are_transposes():
+    m = TransferMatrix(3, ((1, 2, 0), (0, 1, 3), (4, 0, 1)))
+    mt = TransferMatrix(3, tuple(zip(*m.entries)))
+    v = (2, -1, 5)
+    assert vec_mat(v, m) == mat_vec(mt, v) == (22, 3, 2)
+
+
+def test_vec_mat_power_rejects_negative_exponent():
+    with pytest.raises(InvalidParamsError):
+        vec_mat_power((1,), TransferMatrix(1, ((2,),)), -1)
+
+
+@pytest.mark.parametrize("k,s", [(3, 1), (4, 2), (16, 5)])
+def test_count_1d_matrix_equals_gf_far_out(k, s):
+    n = 2000
+    assert seq1d.count_1d(n, k, s, "matrix") == seq1d.count_1d(n, k, s, "gf")
+
+
+def fraction_rank(rows):
+    # Gauss-Jordan over Q: the reference for int_rank
+    rows = [list(map(Fraction, r)) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] / lead[c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6), st.integers(1, 6), st.integers(0, 4),
+    st.booleans(), st.randoms(use_true_random=False),
+)
+def test_int_rank_equals_fraction_rank(n_rows, n_cols, inner, low_rank, rng):
+    if low_rank:
+        # a product through `inner` dimensions has rank at most `inner`
+        a = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(n_rows)]
+        b = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(inner)]
+        rows = [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)] for r in a]
+    else:
+        rows = [[rng.choice((0, 0, 1, -1, 2, 7)) for _ in range(n_cols)] for _ in range(n_rows)]
+    assert int_rank(rows) == fraction_rank(rows)
+
+
+def test_int_rank_small():
+    assert int_rank([]) == 0
+    assert int_rank([[0, 0], [0, 0]]) == 0
+    assert int_rank([[0, 2, 4], [0, 1, 2], [3, 0, 1]]) == 2
+    assert int_rank([[1, 2], [3, 4], [5, 6]]) == 2
 
 
 def test_gf_from_matrix_geometric():
@@ -232,8 +336,59 @@ def test_root_bracket_matches_sympy_nroots():
 def test_no_positive_root():
     with pytest.raises(NoPositiveRootError):
         smallest_positive_root((1, 0, 1), 1e-9)
+    with pytest.raises(NoPositiveRootError):
+        smallest_positive_root((7,), 1e-9)
+    with pytest.raises(NoPositiveRootError):
+        # roots -1 (double) and -2
+        smallest_positive_root(poly_mul((1, 2, 1), (2, 1)), 1e-9)
     with pytest.raises(InvalidParamsError):
         smallest_positive_root((-1, 2), 1e-9)
+
+
+def test_two_roots_in_one_grid_cell():
+    # roots 0.3, 0.3001, 0.9: the first two share a cell of the 64-point
+    # grid, so the first sign change there is at 0.9
+    p = (81027, -630120, 1500100, -1000000)
+    assert abs(smallest_positive_root(p) - 0.3) < 1e-12
+    lo, hi = smallest_positive_root_bracket(p)
+    assert lo < Fraction(3, 10) <= hi and hi - lo <= Fraction(1, 10**12)
+
+
+def test_root_of_even_multiplicity():
+    # (1 - 2x)^2 (1 + x^2) never changes sign
+    p = poly_mul(poly_mul((1, -2), (1, -2)), (1, 0, 1))
+    lo, hi = smallest_positive_root_bracket(p, 1e-12)
+    assert lo < Fraction(1, 2) <= hi
+    # (1 - 3x)^2 (1 - x) changes sign only at 1, beyond the double root
+    p = poly_mul(poly_mul((1, -3), (1, -3)), (1, -1))
+    assert abs(smallest_positive_root(p, 1e-12) - 1 / 3) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-6, 12), st.integers(1, 5)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=2),
+)
+def test_root_bracket_holds_least_positive_root(linear, quadratic):
+    # p = prod (d - n x) * prod ((x - b)^2 + c^2): its real roots are the
+    # d/n of the linear factors, repeated ones included
+    p = (1,)
+    roots = []
+    for n, d in linear:
+        if n == 0:
+            continue
+        p = poly_mul(p, (d, -n))
+        roots.append(Fraction(d, n))
+    for b, c in quadratic:
+        p = poly_mul(p, (b * b + c * c, -2 * b, 1))
+    positive = [r for r in roots if r > 0]
+    if not positive:
+        with pytest.raises(NoPositiveRootError):
+            smallest_positive_root_bracket(p, 1e-9)
+        return
+    lo, hi = smallest_positive_root_bracket(p, 1e-9)
+    assert lo < min(positive) <= hi
+    assert hi - lo <= Fraction(1, 10**9)
 
 
 def test_mat_power_entry():
@@ -241,6 +396,14 @@ def test_mat_power_entry():
     assert mat_power_entry(m, 5, 0, 1) == 5
     assert mat_power_entry(m, 0, 0, 0) == 1
     assert mat_power_entry(m, 0, 0, 1) == 0
+    # the zeroth power is the identity, the first is M itself
+    m = TransferMatrix(3, ((2, 1, 0), (0, 3, 1), (5, 0, 1)))
+    assert [[mat_power_entry(m, 0, i, j) for j in range(3)] for i in range(3)] == [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1]
+    ]
+    assert [[mat_power_entry(m, 1, i, j) for j in range(3)] for i in range(3)] == [
+        list(row) for row in m.entries
+    ]
 
 
 def test_transfer_matrix_validation():
