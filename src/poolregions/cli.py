@@ -219,7 +219,7 @@ def _cmd_tables(args):
 
 
 def _cmd_verify(args):
-    report = verify.run_suite(args.level, include_q5_enumeration=args.include_q5_enumeration)
+    report = verify.run_suite(args.level)
     if args.format == "json":
         print(json.dumps(report))
     else:
@@ -313,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the self-verification suite")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--include-q5-enumeration", action="store_true",
-                   help="also run the full 3x5 face enumeration (minutes)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -326,11 +326,11 @@ def gf_from_matrix(m: TransferMatrix, left, right) -> RationalGF:
     if len(left) != p or len(right) != p:
         raise InvalidParamsError("weight vectors must match the matrix size")
     den = det_poly(m)
-    terms = []
     v = tuple(right)
-    for _ in range(p):
-        terms.append(sum(x * y for x, y in zip(left, v)))
+    terms = [sum(map(mul, left, v))]
+    for _ in range(p - 1):
         v = mat_vec(m, v)
+        terms.append(sum(map(mul, left, v)))
     num = [0] * p
     for i, dc in enumerate(den):
         if dc:

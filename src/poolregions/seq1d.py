@@ -199,17 +199,12 @@ def growth_large_strides(k: int, s: int) -> float:
     return math.log(2 * c / (k - math.sqrt(k * k - 4 * c)))
 
 
-def w_plus_minus(k: int, s: int) -> tuple[float, float]:
-    """The two characteristic roots w+- = k +- sqrt(k^2 - 4(k-s)(k-s-1))."""
-    c = (k - s) * (k - s - 1)
-    root = math.sqrt(k * k - 4 * c)
-    return k + root, k - root
-
-
 def count_large_strides_explicit(n: int, k: int, s: int) -> float:
     """Floating-point evaluation of the explicit large-strides vertex count.
 
-    b_n = (w_-^n + w_+^n + (2k/(w_+ - w_-)) (w_+^n - w_-^n)) / 2^{n+1}.
+    b_n = (w_-^n + w_+^n + (2k/(w_+ - w_-)) (w_+^n - w_-^n)) / 2^{n+1}, with
+    the characteristic roots w_+- = k +- sqrt(k^2 - 4(k-s)(k-s-1)).
     """
-    wp, wm = w_plus_minus(k, s)
+    root = math.sqrt(k * k - 4 * (k - s) * (k - s - 1))
+    wp, wm = k + root, k - root
     return (wm**n + wp**n + (2 * k / (wp - wm)) * (wp**n - wm**n)) / 2 ** (n + 1)

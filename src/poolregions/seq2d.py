@@ -1,11 +1,15 @@
 """Vertex counts for the 3-row grid with two-by-two windows.
 
-The two-window polytope on the 3x2 grid has 14 vertices; appending a column
-pair of windows acts by a fixed 14x14 0/1 matrix on vertex classes, which a
-symmetry reduction compresses to a 6x6 integer matrix whose powers give the
-vertex counts V_n for every width n.  This module derives the 14x14 matrix
-from the face criterion, carries both matrices, the generating function, the
-2-row reduction, per-class vertex counts, and the growth rate.
+The two-window polytope on the 3x2 grid has 14 vertices.  The paper gives
+two matrices.  A14 is a 14x14 0/1 matrix that records which pairs of these
+vertices, on two overlapping column pairs, form a vertex of the width-3
+polytope; derive_a14() recomputes it from the face criterion.  A14 does not
+count vertices: its walk counts 1^T A14^n 1 for n = 0..3 are 14, 150, 1538,
+15636, against V_2..V_5 = 14, 150, 1536, 15594.  B6 is a 6x6 integer matrix
+whose powers give the vertex counts V_n for every width n; nothing here
+derives it from A14, and gf_2d() and the oracle check it instead.  This
+module carries both matrices, the generating function, the 2-row reduction,
+per-class vertex counts, and the growth rate.
 """
 
 from __future__ import annotations
@@ -48,10 +52,10 @@ Q2_VERTEX_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
     ((1, 1), (2, 1)),
 )
 
-# appending-a-column action on the 14 vertex classes: entry (i, j) = 1 when
-# the j-th vertex of the left column pair plus the i-th vertex of the right
-# column pair is a vertex of the width-3 polytope; derive_a14() recomputes
-# this from the face criterion and must reproduce it exactly
+# the paper's 14x14 matrix: entry (i, j) = 1 when the j-th vertex of the left
+# column pair plus the i-th vertex of the right column pair is a vertex of the
+# width-3 polytope; derive_a14() recomputes this from the face criterion and
+# must reproduce it exactly
 A14_ENTRIES: tuple[tuple[int, ...], ...] = (
     (1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0),
     (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0),
@@ -69,8 +73,9 @@ A14_ENTRIES: tuple[tuple[int, ...], ...] = (
     (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
 )
 
-# class-symmetry reduction of A14 to representatives (1, 2, 3, 4, 6, 9),
-# 1-indexed; V_n is entry (5, 6) of the n-th power
+# the paper's 6x6 matrix; V_n is entry (5, 6) of the n-th power.  It is not
+# a reduction of A14 (see the module docstring): gf_2d() checks it against the
+# closed generating function, and verify checks its counts against the oracle
 B6_ENTRIES: tuple[tuple[int, ...], ...] = (
     (2, 2, 1, 1, 1, 1),
     (2, 3, 1, 1, 2, 1),

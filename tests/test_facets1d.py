@@ -20,14 +20,6 @@ def test_formula_values():
         facets1d.facet_count_formula(2, 1, 1)
 
 
-def test_formula_matches_oracle_grid():
-    for k in range(2, 6):
-        for s in range(1, k):
-            for n in range(1, 5):
-                got = oracle.facet_count_oracle(windows_1d(n, k, s))
-                assert facets1d.facet_count_formula(n, k, s) == got, (n, k, s)
-
-
 def test_hrep_223_example():
     rep = facets1d.h_representation(2, 3, 1)
     assert rep.ambient == 4

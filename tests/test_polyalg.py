@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolregions import seq1d
+from poolregions import polyalg, seq1d
 from poolregions.errors import (
     InvalidParamsError,
     NonIntegerCoefficientError,
@@ -201,6 +201,25 @@ def test_gf_from_matrix_matches_matrix_powers():
         for n in range(9):
             assert coeffs[n] == sum(a * b for a, b in zip(left, v))
             v = mat_vec(m, v)
+
+
+def test_gf_from_matrix_makes_size_minus_one_products(monkeypatch):
+    # the first `size` terms left . M^n . right, n < size, need size - 1 products
+    calls = []
+
+    def counting_mat_vec(m, v):
+        calls.append(m.size)
+        return mat_vec(m, v)
+
+    monkeypatch.setattr(polyalg, "mat_vec", counting_mat_vec)
+    for k, s in ((2, 1), (3, 1), (7, 4), (16, 5)):
+        calls.clear()
+        g = gf_from_matrix(seq1d.adjacency(k, s), (1,) * k, (1,) * k)
+        assert calls == [k] * (k - 1)
+        assert series_coeffs(g, 2 * k) == [seq1d.count_1d(n + 1, k, s) for n in range(2 * k + 1)]
+    calls.clear()
+    gf_from_matrix(TransferMatrix(1, ((3,),)), (1,), (1,))
+    assert calls == []
 
 
 def test_gf_cofactor_identity():

@@ -158,14 +158,6 @@ def test_trivial_count():
         seq1d.trivial_count(2, 1, 1)
 
 
-def test_trivial_regime_matches_oracle():
-    for k, s in [(2, 1), (3, 2), (2, 2), (3, 3)]:
-        for n in range(1, 6):
-            assert seq1d.trivial_count(n, k, s) == len(
-                oracle.enumerate_vertices(windows_1d(n, k, s))
-            )
-
-
 def test_closed_initial_examples():
     assert seq1d.closed_initial(1, 4, 2) == 14  # b_2
     assert seq1d.closed_initial(2, 3, 1) == 16  # b_3
@@ -186,14 +178,6 @@ def test_closed_initial_matches_matrix():
                 assert seq1d.closed_initial(m, k, s) == seq1d.count_1d(
                     m + 1, k, s, "matrix"
                 )
-
-
-def test_large_strides_recurrence():
-    for k, s in [(4, 2), (5, 3), (6, 3), (6, 4), (7, 4)]:
-        c = (k - s) * (k - s - 1)
-        b = {n: seq1d.count_1d(n, k, s, "matrix") for n in range(1, 23)}
-        for n in range(2, 21):
-            assert b[n + 2] == k * b[n + 1] - c * b[n]
 
 
 def test_explicit_large_strides_formula():

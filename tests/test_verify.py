@@ -1,6 +1,6 @@
 import pytest
 
-from poolregions import oracle, verify
+from poolregions import facets1d, oracle, seq1d, seq2d, verify
 from poolregions.errors import VerificationError
 from poolregions.oracle import FVector
 
@@ -39,3 +39,84 @@ def test_face_tables_check_compares_frontier_with_oracle(monkeypatch):
     monkeypatch.setattr(oracle, "enumerate_faces", one_edge_too_many)
     with pytest.raises(VerificationError, match=r"tables \(k=3,n=1\) edges: methods disagree: frontier=3, oracle=4"):
         verify.check_face_tables(full=False)
+
+
+def _off_by_one(module, name, when):
+    """Patch module.name so that it returns one more on calls where `when` holds."""
+    original = getattr(module, name)
+
+    def patched(monkeypatch):
+        def wrong(*args):
+            value = original(*args)
+            return value + 1 if when(*args) else value
+
+        monkeypatch.setattr(module, name, wrong)
+
+    return patched
+
+
+def _gf_of_next_stride(monkeypatch):
+    gf_1d = seq1d.gf_1d
+    monkeypatch.setattr(seq1d, "gf_1d", lambda k, s: gf_1d(k, s + 1))
+
+
+def _growth_2d_shifted(monkeypatch):
+    growth_2d = seq2d.growth_2d
+    monkeypatch.setattr(seq2d, "growth_2d", lambda: growth_2d() + 0.01)
+
+
+def _boundary_agrees(monkeypatch):
+    growth_1d = seq1d.growth_1d
+    monkeypatch.setattr(seq1d, "growth_large_strides", lambda k, s: growth_1d(k, s))
+
+
+# check name -> (one wrong golden constant or route value, expected failure)
+MUTATIONS = {
+    "golden-gf": (_gf_of_next_stride, r"golden-gf: canonical form is \(3,\)/\(1, -3\)"),
+    "cross-method-grid": (
+        _off_by_one(seq1d, "count_1d", lambda n, k, s, method: method == "gf" and n == 3),
+        r"cross-method \(n=3,k=2,s=1\): methods disagree",
+    ),
+    "large-strides": (
+        _off_by_one(seq1d, "count_1d", lambda n, k, s, method: n == 12),
+        r"large-strides: \(k=4,s=2\) recurrence fails at n=10",
+    ),
+    "proportional-strides": (
+        _off_by_one(seq1d, "closed_initial", lambda m, k, s: m == 2),
+        r"proportional: \(k=3,s=1\) b_3",
+    ),
+    "trivial-regime": (
+        _off_by_one(seq1d, "trivial_count", lambda n, k, s: n == 5),
+        r"trivial: \(k=2,s=1,n=5\)",
+    ),
+    "face-count-tables": (
+        lambda mp: mp.setitem(verify.TOTAL_FACES_TABLE, 4, (16, 58, 209, 730, 2512)),
+        r"tables: \(k=4,n=3\) total 208 != 209",
+    ),
+    "facets": (
+        _off_by_one(facets1d, "facet_count_formula", lambda n, k, s: n == 2),
+        r"facets: \(n=2,k=2,s=1\) formula",
+    ),
+    "two-dim": (
+        lambda mp: mp.setitem(verify.V_VALUES, 5, 15595),
+        "two-dim: V_5 via b6 = 15594 != 15595",
+    ),
+    "class-counts": (
+        _off_by_one(seq2d, "count_2d", lambda n, method: n == 3),
+        "class-counts: n=3: class counts do not sum to V_n",
+    ),
+    "asymptotics": (_growth_2d_shifted, "asymptotics: growth_2d"),
+    "region-sampling": (
+        lambda mp: mp.setattr(oracle, "sample_regions", lambda family, trials, seed: (6, True)),
+        "regions: 1-D: distinct=6",
+    ),
+    "known-boundary-discrepancy": (_boundary_agrees, r"boundary: \(k=5,s=2\) unexpectedly agrees"),
+}
+
+
+@pytest.mark.parametrize("name", list(verify.CHECKS))
+def test_each_check_catches_a_wrong_value(name, monkeypatch):
+    mutate, message = MUTATIONS[name]
+    mutate(monkeypatch)
+    with pytest.raises(VerificationError, match=message):
+        verify.CHECKS[name](False)
