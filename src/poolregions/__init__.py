@@ -47,7 +47,6 @@ from .oracle import (
     facet_count_two_classes,
     region_pattern,
     sample_regions,
-    total_face_count,
 )
 from .polyalg import (
     RationalGF,

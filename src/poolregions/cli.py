@@ -193,7 +193,7 @@ def _cmd_grid3xn(args):
 
 
 def _cmd_grid2xn(args):
-    _emit(args, "grid2xn", {"n": args.n}, str(seq2d.count_2xn(args.n)), ["matrix", "gf"])
+    _emit(args, "grid2xn", {"n": args.n}, str(seq2d.count_2xn(args.n)), ["matrix"])
     return EXIT_OK
 
 
@@ -252,9 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gf", help="1-D generating function")
     add_ks(p, with_n=False)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--matrix", action="store_true", help="transfer-matrix form (default)")
-    g.add_argument("--closed", action="store_true", help="closed form, when covered")
+    p.add_argument("--closed", action="store_true",
+                   help="closed form, when covered (default: transfer-matrix form)")
     p.set_defaults(func=_cmd_gf)
 
     def add_family(p):

@@ -225,11 +225,6 @@ def enumerate_faces(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVect
     return FVector(counts={dim: c for dim, c in enumerate(counts) if c}, polytope_dim=top)
 
 
-def total_face_count(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> int:
-    """Number of faces including the empty face (hence the +1)."""
-    return enumerate_faces(family, budget).total() + 1
-
-
 def facet_count_oracle(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> int:
     """Number of faces of dimension polytope_dim - 1."""
     return enumerate_faces(family, budget).facet_count()

@@ -19,6 +19,7 @@ from .errors import (
     InvalidParamsError,
     OutOfWindowError,
     RegimeNotCoveredError,
+    VerificationError,
 )
 from .model import windows_1d
 from .polyalg import (
@@ -116,7 +117,8 @@ def gf_closed(k: int, s: int) -> ClosedForm:
 
     Large strides: ceil(k/2) <= s <= k-2 gives the quadratic-denominator
     form.  Proportional strides: s | k (with k >= 2s) gives the degree-(r+3)
-    form; s = 1 is its specialization.  When both apply they must agree.
+    form; s = 1 is its specialization.  When both apply they must agree;
+    if they do not, this raises VerificationError.
     """
     if s < 1 or k <= s:
         raise InvalidParamsError("need k > s >= 1")
@@ -131,7 +133,7 @@ def gf_closed(k: int, s: int) -> ClosedForm:
     if not gfs:
         raise RegimeNotCoveredError(f"no closed form covers (k={k}, s={s})")
     if len(gfs) == 2 and not gf_equal(gfs[0], gfs[1]):
-        raise AssertionError(f"closed forms disagree at (k={k}, s={s})")
+        raise VerificationError(f"closed forms disagree at (k={k}, s={s})")
     return ClosedForm(gf=gfs[0], regimes=tuple(regimes))
 
 
@@ -198,13 +200,3 @@ def growth_large_strides(k: int, s: int) -> float:
     c = (k - s) * (k - s - 1)
     return math.log(2 * c / (k - math.sqrt(k * k - 4 * c)))
 
-
-def count_large_strides_explicit(n: int, k: int, s: int) -> float:
-    """Floating-point evaluation of the explicit large-strides vertex count.
-
-    b_n = (w_-^n + w_+^n + (2k/(w_+ - w_-)) (w_+^n - w_-^n)) / 2^{n+1}, with
-    the characteristic roots w_+- = k +- sqrt(k^2 - 4(k-s)(k-s-1)).
-    """
-    root = math.sqrt(k * k - 4 * (k - s) * (k - s - 1))
-    wp, wm = k + root, k - root
-    return (wm**n + wp**n + (2 * k / (wp - wm)) * (wp**n - wm**n)) / 2 ** (n + 1)

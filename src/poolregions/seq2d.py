@@ -1,15 +1,22 @@
 """Vertex counts for the 3-row grid with two-by-two windows.
 
-The two-window polytope on the 3x2 grid has 14 vertices.  The paper gives
-two matrices.  A14 is a 14x14 0/1 matrix that records which pairs of these
-vertices, on two overlapping column pairs, form a vertex of the width-3
-polytope; derive_a14() recomputes it from the face criterion.  A14 does not
-count vertices: its walk counts 1^T A14^n 1 for n = 0..3 are 14, 150, 1538,
-15636, against V_2..V_5 = 14, 150, 1536, 15594.  B6 is a 6x6 integer matrix
-whose powers give the vertex counts V_n for every width n; nothing here
-derives it from A14, and gf_2d() and the oracle check it instead.  This
-module carries both matrices, the generating function, the 2-row reduction,
-per-class vertex counts, and the growth rate.
+The two-window polytope on the 3x2 grid has 14 vertices; Q2_VERTEX_PAIRS
+takes them from the oracle, in its lexicographic word order.  The paper
+gives two matrices.  A14 is a 14x14 0/1 matrix that records which pairs of
+these vertices, on two overlapping column pairs, form a vertex of the
+width-3 polytope; derive_a14() recomputes it from the face criterion.  A14
+does not count vertices: its walk counts 1^T A14^n 1 for n = 0..3 are 14,
+150, 1538, 15636, against V_2..V_5 = 14, 150, 1536, 15594.  B6 is a 6x6
+integer matrix whose powers give the vertex counts V_n for every width n;
+nothing here derives it from A14.  This module carries both matrices, the
+closed generating function, the 2-row reduction, per-class vertex counts,
+and the growth rate.
+
+Each count route computes its value one way.  The identities that tie the
+routes together are proven once, by verify's two-dim check: B6's generating
+function equals gf_2d(), and the 2-row generating function x/(1-4x+2x^2)
+equals x + x^2 gf_1d(4, 2).  Both are equalities of rational functions, so
+they hold for every n.
 """
 
 from __future__ import annotations
@@ -24,8 +31,6 @@ from .model import windows_3xn
 from .polyalg import (
     RationalGF,
     TransferMatrix,
-    gf_equal,
-    gf_from_matrix,
     mat_power_entry,
     rational_gf,
     series_coeffs,
@@ -33,23 +38,11 @@ from .polyalg import (
 )
 
 # the 14 vertices of the two-window (3x2) polytope, each as its chosen cell
-# (row, col) in the upper and lower window; the fixed order below is the one
-# the transfer matrices index by
-Q2_VERTEX_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
-    ((0, 0), (1, 0)),
-    ((0, 0), (1, 1)),
-    ((0, 0), (2, 0)),
-    ((0, 0), (2, 1)),
-    ((0, 1), (1, 0)),
-    ((0, 1), (1, 1)),
-    ((0, 1), (2, 0)),
-    ((0, 1), (2, 1)),
-    ((1, 0), (1, 0)),
-    ((1, 0), (2, 0)),
-    ((1, 0), (2, 1)),
-    ((1, 1), (1, 1)),
-    ((1, 1), (2, 0)),
-    ((1, 1), (2, 1)),
+# (row, col) in the upper and lower window, in the oracle's lexicographic
+# word order (flat index = 2 * row + col); the transfer matrices index by
+# this order, and A14_ENTRIES and the class counts pin it
+Q2_VERTEX_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = tuple(
+    (divmod(up, 2), divmod(lo, 2)) for up, lo in oracle.enumerate_vertices(windows_3xn(2))
 )
 
 # the paper's 14x14 matrix: entry (i, j) = 1 when the j-th vertex of the left
@@ -74,8 +67,8 @@ A14_ENTRIES: tuple[tuple[int, ...], ...] = (
 )
 
 # the paper's 6x6 matrix; V_n is entry (5, 6) of the n-th power.  It is not
-# a reduction of A14 (see the module docstring): gf_2d() checks it against the
-# closed generating function, and verify checks its counts against the oracle
+# a reduction of A14 (see the module docstring): verify proves its generating
+# function equal to gf_2d() and checks its counts against the oracle
 B6_ENTRIES: tuple[tuple[int, ...], ...] = (
     (2, 2, 1, 1, 1, 1),
     (2, 3, 1, 1, 2, 1),
@@ -90,18 +83,6 @@ COUNT_METHODS = ("oracle", "b6", "gf")
 
 def b6_matrix() -> TransferMatrix:
     return TransferMatrix(6, B6_ENTRIES)
-
-
-def q2_vertices() -> tuple[tuple[int, ...], ...]:
-    """The 14 vertices of the 3x2 polytope as words, in the fixed order."""
-    fam = windows_3xn(2)
-    words = tuple(
-        (2 * up[0] + up[1], 2 * lo[0] + lo[1]) for up, lo in Q2_VERTEX_PAIRS
-    )
-    for w in words:
-        if not is_face(selection_from_word(fam, w)):
-            raise AssertionError(f"canonical q2 word {w} fails the face criterion")
-    return words
 
 
 def derive_a14() -> TransferMatrix:
@@ -133,14 +114,8 @@ def derive_a14() -> TransferMatrix:
 
 
 def gf_2d() -> RationalGF:
-    """Generating function x + sum_{n>=2} V_n x^n; recomputed from B6 as a check."""
-    g = rational_gf((0, 1, 1, -1), (1, -13, 31, -20, 4))
-    left = tuple(1 if i == 4 else 0 for i in range(6))
-    right = tuple(1 if i == 5 else 0 for i in range(6))
-    from_matrix = gf_from_matrix(b6_matrix(), left, right)
-    if not gf_equal(g, from_matrix):
-        raise AssertionError("closed generating function disagrees with the 6x6 matrix")
-    return g
+    """Generating function x + sum_{n>=2} V_n x^n, in closed form."""
+    return rational_gf((0, 1, 1, -1), (1, -13, 31, -20, 4))
 
 
 def count_2d(n: int, method: str = "b6", budget: int = oracle.DEFAULT_BUDGET) -> int:
@@ -166,11 +141,7 @@ def count_2xn(n: int) -> int:
     """Vertices of the 2-row, n-column case, via the 1-D (k, s) = (4, 2) model."""
     if n < 2:
         raise InvalidParamsError("need n >= 2")
-    value = seq1d.count_1d(n - 1, 4, 2, method="matrix")
-    check = series_coeffs(rational_gf((0, 1), (1, -4, 2)), n)[n]
-    if value != check:
-        raise AssertionError("2-row reduction disagrees with its generating function")
-    return value
+    return seq1d.count_1d(n - 1, 4, 2, method="matrix")
 
 
 @dataclass(frozen=True)

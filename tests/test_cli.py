@@ -6,8 +6,9 @@ import sys
 import pytest
 
 import poolregions
-from poolregions import __version__, cli, seq2d, verify
+from poolregions import __version__, cli, seq1d, seq2d, verify
 from poolregions.cli import main
+from poolregions.polyalg import rational_gf
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +56,10 @@ def test_gf_command(capsys):
     code, payload = run_json(capsys, "gf", "--k", "3", "--s", "1")
     assert code == 0
     assert payload["result"]["gf"] == {"num": ["3", "1", "-1"], "den": ["1", "-2", "-1", "1"]}
+    # the transfer-matrix form is the default, with no flag to select it
+    with pytest.raises(SystemExit) as exc:
+        main(["gf", "--k", "3", "--s", "1", "--matrix"])
+    assert exc.value.code == 2
 
 
 def test_gf_closed_command(capsys):
@@ -67,6 +72,14 @@ def test_gf_closed_command(capsys):
 def test_gf_closed_not_covered(capsys):
     code, payload = run_json(capsys, "gf", "--k", "5", "--s", "2", "--closed")
     assert code == 2
+
+
+def test_gf_closed_forms_disagree_is_verification_failure(capsys, monkeypatch):
+    monkeypatch.setattr(seq1d, "_gf_proportional", lambda k, s: rational_gf((1,), (1, -k)))
+    code, payload = run_json(capsys, "gf", "--k", "6", "--s", "3", "--closed")
+    assert code == 4
+    assert payload["error"] == "verification-failure"
+    assert payload["detail"] == "closed forms disagree at (k=6, s=3)"
 
 
 def test_grid3xn_b6(capsys):
@@ -86,6 +99,7 @@ def test_grid2xn(capsys):
     code, payload = run_json(capsys, "grid2xn", "--n", "5")
     assert code == 0
     assert payload["result"] == "164"
+    assert payload["provenance"] == ["matrix"]
 
 
 def test_fvector(capsys):

@@ -86,9 +86,10 @@ def test_fvector_golden():
 
 
 def test_total_face_count_golden():
-    assert oracle.total_face_count(windows_1d(1, 3, 1)) == 8
-    assert oracle.total_face_count(windows_1d(2, 3, 1)) == 26
-    assert oracle.total_face_count(windows_1d(2, 4, 1)) == 58
+    # faces including the empty one
+    assert oracle.enumerate_faces(windows_1d(1, 3, 1)).total() + 1 == 8
+    assert oracle.enumerate_faces(windows_1d(2, 3, 1)).total() + 1 == 26
+    assert oracle.enumerate_faces(windows_1d(2, 4, 1)).total() + 1 == 58
 
 
 def test_facet_count_golden():

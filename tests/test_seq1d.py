@@ -180,14 +180,6 @@ def test_closed_initial_matches_matrix():
                 )
 
 
-def test_explicit_large_strides_formula():
-    for k, s in [(4, 2), (5, 3), (6, 4)]:
-        for n in range(1, 31):
-            exact = seq1d.count_1d(n, k, s, "matrix")
-            approx = seq1d.count_large_strides_explicit(n, k, s)
-            assert abs(approx - exact) <= 1e-9 * max(1, exact)
-
-
 def test_growth_golden():
     assert abs(seq1d.growth_1d(3, 1) - 0.8096) < 5e-4
     assert abs(seq1d.growth_1d(2, 1) - math.log(2)) < 1e-10

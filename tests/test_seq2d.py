@@ -2,17 +2,23 @@ import math
 
 import pytest
 
-from poolregions import oracle, seq2d
+from poolregions import polyalg, seq1d, seq2d
 from poolregions.errors import InvalidParamsError
 from poolregions.faces import is_face, selection_from_word
 from poolregions.model import windows_3xn
 from poolregions.polyalg import series_coeffs, vec_mat_power
 
 
+def q2_words():
+    # flat index on the 3x2 grid = 2 * row + col
+    return [(2 * up[0] + up[1], 2 * lo[0] + lo[1]) for up, lo in seq2d.Q2_VERTEX_PAIRS]
+
+
 def test_q2_vertices_are_the_14_faces():
-    words = seq2d.q2_vertices()
+    words = q2_words()
     assert len(words) == len(set(words)) == 14
-    assert set(words) == set(oracle.enumerate_vertices(windows_3xn(2)))
+    fam = windows_3xn(2)
+    assert all(is_face(selection_from_word(fam, w)) for w in words)
 
 
 def test_q2_excluded_pairs():
@@ -21,7 +27,7 @@ def test_q2_excluded_pairs():
     all_words = {
         (a, b) for a in sorted(fam.windows[0]) for b in sorted(fam.windows[1])
     }
-    excluded = all_words - set(seq2d.q2_vertices())
+    excluded = all_words - set(q2_words())
     # middle-row cells of the 3x2 grid are flat indices 2 and 3
     assert excluded == {(2, 3), (3, 2)}
     for word in excluded:
@@ -88,6 +94,21 @@ def test_recurrence_order_four():
 
 def test_count_2xn():
     assert [seq2d.count_2xn(n) for n in (2, 3, 4, 5)] == [4, 14, 48, 164]
+
+
+def test_count_routes_do_not_recheck_their_identities(monkeypatch):
+    # verify's two-dim check proves these identities once, for every n
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(polyalg, "det_poly", counted("det_poly", polyalg.det_poly))
+    for module in (polyalg, seq1d, seq2d):
+        monkeypatch.setattr(module, "series_coeffs", counted("series_coeffs", polyalg.series_coeffs))
+    seq2d.gf_2d()
+    assert seq2d.count_2xn(4000) > 0
+    assert calls == []
 
 
 def test_class_counts_n2():

@@ -1,8 +1,13 @@
+import ast
+import os
+
 import pytest
 
+import poolregions
 from poolregions import facets1d, oracle, seq1d, seq2d, verify
 from poolregions.errors import VerificationError
 from poolregions.oracle import FVector
+from poolregions.polyalg import rational_gf
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +46,49 @@ def test_face_tables_check_compares_frontier_with_oracle(monkeypatch):
         verify.check_face_tables(full=False)
 
 
+def test_facets_check_runs_no_partition_scan(monkeypatch):
+    # the oracle's f-vector of the same cell already gives its facet count
+    calls = []
+    monkeypatch.setattr(oracle, "facet_count_two_classes", lambda family: calls.append(family))
+    verify.check_facets(False)
+    assert calls == []
+
+
+def test_two_dim_partition_scan_stops_at_q4(monkeypatch):
+    scanned = []
+    scan = oracle.facet_count_two_classes
+
+    def recorded(family):
+        scanned.append(family.ambient_size // 3)
+        return scan(family)
+
+    monkeypatch.setattr(oracle, "facet_count_two_classes", recorded)
+    verify.check_two_dim(False)
+    assert scanned == [2, 3, 4]
+
+
+def _raises_assertion_error(node):
+    if isinstance(node, ast.Assert):
+        return True
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_package_raises_no_assertion_error():
+    # a failed cross-check must end in VerificationError and exit 4, and
+    # python -O strips assert statements
+    root = os.path.dirname(poolregions.__file__)
+    found = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as f:
+                tree = ast.parse(f.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if _raises_assertion_error(node)]
+    assert found == []
+
+
 def _off_by_one(module, name, when):
     """Patch module.name so that it returns one more on calls where `when` holds."""
     original = getattr(module, name)
@@ -68,6 +116,12 @@ def _growth_2d_shifted(monkeypatch):
 def _boundary_agrees(monkeypatch):
     growth_1d = seq1d.growth_1d
     monkeypatch.setattr(seq1d, "growth_large_strides", lambda k, s: growth_1d(k, s))
+
+
+def _b6_entry_changed(monkeypatch):
+    rows = [list(row) for row in seq2d.B6_ENTRIES]
+    rows[5][3] = 1
+    monkeypatch.setattr(seq2d, "B6_ENTRIES", tuple(map(tuple, rows)))
 
 
 # check name -> (one wrong golden constant or route value, expected failure)
@@ -120,3 +174,16 @@ def test_each_check_catches_a_wrong_value(name, monkeypatch):
     mutate(monkeypatch)
     with pytest.raises(VerificationError, match=message):
         verify.CHECKS[name](False)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_b6_entry_changed, "two-dim: closed generating function disagrees with the 6x6 matrix"),
+    (
+        lambda mp: mp.setattr(verify, "GF_2XN", rational_gf((0, 0, 1), (1, -4, 2))),
+        r"two-dim: 2xn generating function != x \+ x\^2 gf_1d\(4,2\)",
+    ),
+])
+def test_two_dim_proves_the_gf_identities(mutate, message, monkeypatch):
+    mutate(monkeypatch)
+    with pytest.raises(VerificationError, match=message):
+        verify.check_two_dim(False)
