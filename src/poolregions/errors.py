@@ -18,7 +18,11 @@ class NotAFaceError(PoolRegionsError):
 
 
 class BudgetExceededError(PoolRegionsError):
-    """An enumeration would exceed the configured candidate budget."""
+    """A count would exceed its work budget.
+
+    The oracle walks budget the product of the per-window candidate counts;
+    the frontier DP budgets the (state, chosen set) pairs it examines.
+    """
 
 
 class RegimeNotCoveredError(PoolRegionsError):

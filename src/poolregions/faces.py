@@ -41,17 +41,6 @@ class FaceSelection:
             if not c <= w:
                 raise InvalidSelectionError("chosen set not contained in its window")
 
-    @property
-    def is_vertex_selection(self) -> bool:
-        return all(len(c) == 1 for c in self.chosen)
-
-    @property
-    def word(self) -> tuple[int, ...]:
-        """The per-window coordinate word, defined for singleton selections."""
-        if not self.is_vertex_selection:
-            raise InvalidSelectionError("word is only defined for singleton selections")
-        return tuple(min(c) for c in self.chosen)
-
 
 def selection_from_word(family: WindowFamily, word) -> FaceSelection:
     """Singleton selection picking coordinate word[i] inside window i."""

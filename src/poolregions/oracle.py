@@ -99,12 +99,11 @@ def enumerate_vertices(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> li
     return out
 
 
-def _face_walk(windows, d, on_leaf, choice_order=None):
-    """DFS over all per-window nonempty chosen sets, pruning cyclic prefixes.
+def enumerate_faces(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVector:
+    """Tally all nonempty faces by dimension (dimension = d - class count).
 
-    `on_leaf(n_classes)` is called once per acyclic complete list.  Tallies
-    are independent of the processing order; `choice_order` permutes it for
-    callers that care.
+    DFS over all per-window nonempty chosen sets, pruning cyclic prefixes;
+    each acyclic complete list is one face.
 
     State per node: a rollback union-find over coordinates, plus one
     out-edge bitmask per class root, kept in coordinate space (targets are
@@ -115,14 +114,16 @@ def _face_walk(windows, d, on_leaf, choice_order=None):
     u-avoiding edge of the quotient graph untouched.  So the acyclicity test
     is a single reachability walk from u's successors back to u.
     """
+    windows = family.windows
+    _check_budget(windows, lambda w: (1 << len(w)) - 1, budget)
+    d = family.ambient_size
     n = len(windows)
-    order = list(choice_order) if choice_order is not None else list(range(n))
-    ordered = [tuple(sorted(windows[i])) for i in order]
+    counts = [0] * (d + 1)
 
     # choices per window: (chosen elements, rest bitmask) over all nonempty
     # subsets, in increasing submask order
     choices = []
-    for w in ordered:
+    for w in map(sorted, windows):
         m = len(w)
         opts = []
         for mask in range(1, 1 << m):
@@ -195,7 +196,7 @@ def _face_walk(windows, d, on_leaf, choice_order=None):
 
     def walk(level):
         if level == n:
-            on_leaf(classes[0])
+            counts[d - classes[0]] += 1
             return
         nxt = level + 1
         for chosen, restmask in choices[level]:
@@ -208,19 +209,6 @@ def _face_walk(windows, d, on_leaf, choice_order=None):
             rollback(marker)
 
     walk(0)
-
-
-def enumerate_faces(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVector:
-    """Tally all nonempty faces by dimension (dimension = d - class count)."""
-    windows = family.windows
-    _check_budget(windows, lambda w: (1 << len(w)) - 1, budget)
-    d = family.ambient_size
-    counts = [0] * (d + 1)
-
-    def on_leaf(n_classes):
-        counts[d - n_classes] += 1
-
-    _face_walk(windows, d, on_leaf)
     top = max(dim for dim, c in enumerate(counts) if c)
     return FVector(counts={dim: c for dim, c in enumerate(counts) if c}, polytope_dim=top)
 

@@ -2,15 +2,18 @@
 transfer-matrix determinants, series extraction, and positive-root bracketing.
 
 Polynomials are tuples of Python ints in ascending degree with no trailing
-zero (the zero polynomial is the empty tuple).  Everything is exact; floats
-appear only in the final root estimate.
+zero (the zero polynomial is the empty tuple).  Everything is exact and,
+except for root bracketing, stays in the integers: gcds by primitive
+pseudo-remainder sequences, exact division by integer long division,
+det(I - xM) by the Faddeev-LeVerrier recurrence.  Root brackets have
+`Fraction` endpoints; floats appear only in the final root estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd
 from operator import mul
 
 from .errors import (
@@ -37,10 +40,6 @@ def poly_add(a, b):
 
 def poly_neg(a):
     return tuple(-x for x in a)
-
-
-def poly_sub(a, b):
-    return poly_add(a, poly_neg(b))
 
 
 def poly_mul(a, b):
@@ -79,52 +78,51 @@ def poly_primitive(a):
     return tuple(c // g for c in a), g
 
 
-def _poly_divmod_q(a, b):
-    # division over the rationals; b nonzero
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    inv_lead = 1 / b[-1]
+def _prem(a, b):
+    """Pseudo-remainder of a by b: lead(b)^(deg a - deg b + 1) * a mod b."""
+    r = list(a)
+    lead = b[-1]
+    db = len(b) - 1
     for i in range(len(a) - len(b), -1, -1):
-        coef = a[i + len(b) - 1] * inv_lead
-        q[i] = coef
-        if coef:
-            for j, bc in enumerate(b):
-                a[i + j] -= coef * bc
-    while a and not a[-1]:
-        a.pop()
-    return q, a
+        coef = r[i + db]
+        r = [c * lead for c in r]
+        for j, bc in enumerate(b):
+            r[i + j] -= coef * bc
+    return poly(r)
 
 
 def poly_gcd(a, b):
-    """Primitive gcd in Z[x] (Euclid over Q, then primitivized)."""
+    """Primitive gcd in Z[x], positive leading coefficient.
+
+    Primitive pseudo-remainder sequence: each remainder is reduced to its
+    primitive part, which keeps the coefficients small and changes the
+    remainder only by a unit of Q[x].
+    """
     a, b = poly(a), poly(b)
     while b:
-        _, r = _poly_divmod_q(a, b)
-        a, b = b, tuple(r)
-    if not a:
-        return ()
-    # clear denominators, take primitive part
-    den = 1
-    for c in a:
-        if isinstance(c, Fraction):
-            den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in a]
-    part, _ = poly_primitive(ints)
-    return part
+        a, b = b, poly_primitive(_prem(a, b))[0]
+    return poly_primitive(a)[0]
 
 
 def poly_divexact(a, b):
-    """Exact division a / b in Z[x]; raises if not exact."""
-    q, r = _poly_divmod_q(a, b)
-    if r:
-        raise ValueError("polynomial division not exact")
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            raise ValueError("polynomial division not exact over Z")
-        out.append(int(c))
-    return poly(out)
+    """Exact division a / b in Z[x] by integer long division.
+
+    Raises ValueError unless the quotient lies in Z[x]: a quotient
+    coefficient that is not an integer leaves its floor-division remainder
+    in the remainder, so both failures show as a nonzero remainder.
+    """
+    r = list(poly(a))
+    lead = b[-1]
+    db = len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = coef = r[i + db] // lead
+        if coef:
+            for j, bc in enumerate(b):
+                r[i + j] -= coef * bc
+    if any(r):
+        raise ValueError("polynomial division not exact over Z")
+    return poly(q)
 
 
 @dataclass(frozen=True)
@@ -274,46 +272,25 @@ def int_rank(rows) -> int:
 def det_poly(m: TransferMatrix) -> IntPoly:
     """det(I - x*M) as an integer polynomial of degree <= size.
 
-    Evaluation-interpolation: the scalar determinant is computed exactly at
-    x = 0..p (p = size) by fraction-free elimination, then the polynomial is
-    recovered from its forward differences in the falling-factorial (Newton)
-    basis.  Scaling by p! keeps every step in the integers; the final
-    division by p! must be exact.
+    Faddeev-LeVerrier: M_1 = M, a_k = -tr(M_k)/k, M_{k+1} = M (M_k + a_k I).
+    The a_k are the coefficients of the characteristic polynomial, so
+    det(I - xM) = 1 + a_1 x + ... + a_p x^p.  Each trace is divisible by k
+    in exact arithmetic; a remainder raises ArithmeticError.
     """
     p = m.size
-    ys = []
-    for x0 in range(p + 1):
-        rows = [
-            [(1 if i == j else 0) - x0 * m.entries[i][j] for j in range(p)]
-            for i in range(p)
-        ]
-        ys.append(_bareiss_det(rows))
-    # forward differences: diffs[j] = (Delta^j f)(0)
-    diffs = []
-    while ys:
-        diffs.append(ys[0])
-        ys = [b - a for a, b in zip(ys, ys[1:])]
-    # p! f(x) = sum_j diffs[j] (p!/j!) x(x-1)...(x-j+1), by Horner in the
-    # Newton form from the top difference down
-    scale = factorial(p)
-    weights = [scale]
-    for j in range(1, p + 1):
-        weights.append(weights[-1] // j)  # weights[j] = p!/j!
-    acc = [diffs[p] * weights[p]]
-    for j in range(p - 1, -1, -1):
-        # acc <- acc * (x - j) + diffs[j] * p!/j!
-        nxt = [0] + acc
-        for t, c in enumerate(acc):
-            nxt[t] -= j * c
-        nxt[0] += diffs[j] * weights[j]
-        acc = nxt
-    out = []
-    for c in acc:
-        q, r = divmod(c, scale)
+    coeffs = [1]
+    mk = m.entries
+    for k in range(1, p + 1):
+        a, r = divmod(-sum(mk[i][i] for i in range(p)), k)
         if r:
-            raise ArithmeticError("interpolation of det(I-xM) left the integers")
-        out.append(q)
-    return poly(out)
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible by k")
+        coeffs.append(a)
+        if k < p:
+            shifted = [
+                [x + a if i == j else x for j, x in enumerate(row)] for i, row in enumerate(mk)
+            ]
+            mk = _mat_mul(m.entries, shifted)
+    return poly(coeffs)
 
 
 def gf_from_matrix(m: TransferMatrix, left, right) -> RationalGF:
@@ -380,19 +357,6 @@ def _sign_at(p, x) -> int:
         acc = acc * a + c * scale
         scale *= b
     return _sign(acc)
-
-
-def _prem(a, b):
-    """Pseudo-remainder of a by b: lead(b)^(deg a - deg b + 1) * a mod b."""
-    r = list(a)
-    lead = b[-1]
-    db = len(b) - 1
-    for i in range(len(a) - len(b), -1, -1):
-        coef = r[i + db]
-        r = [c * lead for c in r]
-        for j, bc in enumerate(b):
-            r[i + j] -= coef * bc
-    return poly(r)
 
 
 def _sturm_chain(p):

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolregions import polyalg, seq1d
+from poolregions import polyalg, seq1d, seq2d
 from poolregions.errors import (
     InvalidParamsError,
     NonIntegerCoefficientError,
@@ -23,6 +23,7 @@ from poolregions.polyalg import (
     mat_power_entry,
     mat_vec,
     poly,
+    poly_divexact,
     poly_eval,
     poly_gcd,
     poly_mul,
@@ -42,6 +43,9 @@ def transfer_matrices(max_size, max_entry):
             min_size=p, max_size=p,
         ).map(lambda rows: TransferMatrix(p, rows))
     )
+
+
+small_polys = st.lists(st.integers(-5, 5), max_size=7).map(poly)  # degree <= 6
 
 
 def test_poly_canonical():
@@ -78,29 +82,42 @@ def test_det_poly_matches_scalar_determinant():
 
 
 def test_det_poly_matches_sympy_charpoly():
+    # every size up to 12, so the exact division of a trace by k runs at
+    # each k <= 12; det(I - xM) lists the coefficients of det(tI - M)
+    # from the top down
     rng = random.Random(7)
-    for _ in range(10):
-        p = rng.randint(1, 5)
+    t = sympy.Symbol("t")
+    for p in [*range(1, 13), *(rng.randint(1, 12) for _ in range(6))]:
         m = TransferMatrix(
-            p, tuple(tuple(rng.randint(0, 2) for _ in range(p)) for _ in range(p))
+            p, tuple(tuple(rng.randint(0, 5) for _ in range(p)) for _ in range(p))
         )
-        x = sympy.Symbol("x")
-        want = sympy.expand((sympy.eye(p) - x * sympy.Matrix(m.entries)).det())
-        got = sum(c * x**i for i, c in enumerate(det_poly(m)))
-        assert sympy.simplify(want - got) == 0
+        want = sympy.Matrix(m.entries).charpoly(t).all_coeffs()
+        assert det_poly(m) == poly(int(c) for c in want)
+
+
+def _scalar_det_at(m, x0):
+    p = m.size
+    return _bareiss_det(
+        [[(1 if i == j else 0) - x0 * m.entries[i][j] for j in range(p)] for i in range(p)]
+    )
+
+
+def test_det_poly_of_the_package_matrices_matches_bareiss():
+    matrices = [seq1d.adjacency(k, s) for k in range(2, 17) for s in range(1, k)]
+    matrices += [seq2d.b6_matrix(), seq2d.derive_a14()]
+    assert len(matrices) == 122
+    for m in matrices:
+        dp = det_poly(m)
+        for x0 in (-2, 3, m.size + 2):
+            assert poly_eval(dp, x0) == _scalar_det_at(m, x0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(transfer_matrices(8, 5))
-def test_det_poly_off_the_interpolation_nodes(m):
-    # det_poly interpolates at x = 0..p; check it at points it never saw
+def test_det_poly_matches_bareiss_on_random_matrices(m):
     p = m.size
     for x0 in (-3, -1, p + 1, p + 4):
-        rows = [
-            [(1 if i == j else 0) - x0 * m.entries[i][j] for j in range(p)]
-            for i in range(p)
-        ]
-        assert poly_eval(det_poly(m), x0) == _bareiss_det(rows)
+        assert poly_eval(det_poly(m), x0) == _scalar_det_at(m, x0)
 
 
 def test_bareiss_det_needs_row_swaps():
@@ -282,6 +299,34 @@ def test_poly_gcd():
     assert poly_gcd((2, 2), (4, 4)) == (1, 1)
     assert poly_gcd((1, 2, 1), (1, 1)) == (1, 1)
     assert poly_gcd((1, 0, 1), (1, 1)) == (1,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_polys, small_polys, small_polys)
+def test_poly_gcd_matches_sympy(f, a, b):
+    fa, fb = poly_mul(f, a), poly_mul(f, b)
+    x = sympy.Symbol("x")
+    g = sympy.Poly(fa[::-1] or [0], x).gcd(sympy.Poly(fb[::-1] or [0], x))
+    want = poly(int(c) for c in g.primitive()[1].all_coeffs()[::-1])
+    if want and want[-1] < 0:
+        want = tuple(-c for c in want)
+    assert poly_gcd(fa, fb) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polys, small_polys.filter(bool))
+def test_poly_divexact_inverts_poly_mul(q, b):
+    assert poly_divexact(poly_mul(q, b), b) == q
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [((1, 1), (2,)), ((1, 0, 1), (1, 1))],
+    ids=["quotient-not-integral", "nonzero-remainder"],
+)
+def test_poly_divexact_rejects_inexact_division(a, b):
+    with pytest.raises(ValueError):
+        poly_divexact(a, b)
 
 
 def test_series_coeffs_known():
