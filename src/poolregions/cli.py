@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=seq2d.COUNT_METHODS)
     p.add_argument("--class-counts", action="store_true",
-                   help="per-class vertex counts (oracle, n <= 4)")
+                   help="per-class vertex counts (oracle; --budget bounds n)")
     p.set_defaults(func=_cmd_grid3xn)
 
     p = sub.add_parser("grid2xn", help="vertex counts of the 2-row grid")

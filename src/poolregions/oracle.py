@@ -14,6 +14,7 @@ every acyclic list exactly once while skipping the (vast) cyclic bulk.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InvalidParamsError, TieDetectedError
@@ -264,59 +265,34 @@ def region_pattern(family: WindowFamily, x) -> tuple[int, ...]:
         raise InvalidParamsError("input length must equal the ambient size")
     word = []
     for w in family.windows:
-        best = max(w, key=lambda a: (x[a], -a))
+        best = max(w, key=x.__getitem__)
         if sum(1 for a in w if x[a] == x[best]) > 1:
             raise TieDetectedError(f"window {sorted(w)} has a tied maximum")
         word.append(best)
     return tuple(word)
 
 
-_M64 = (1 << 64) - 1
-
-
-def _mix64(z):
-    z = (z + 0x9E3779B97F4A7C15) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
-
-
-_TWO64 = 18446744073709551616.0
-
-
-def _uniform01(seed, trial, coord, attempt):
-    # counter-based: the value depends only on (seed, trial, coord, attempt),
-    # so results are identical under any partitioning of the trial range;
-    # sample_regions computes the same values with the seed and trial
-    # mixing hoisted out of the coordinate loop
-    h = _mix64(_mix64(_mix64(seed & _M64) ^ trial) ^ (coord + (attempt << 32)))
-    return h / _TWO64
-
-
 def sample_regions(family: WindowFamily, trials: int, seed: int) -> tuple[int, bool]:
-    """Sample gradient patterns at random inputs.
+    """Sample gradient patterns at uniform random inputs in [0, 1)^d.
 
     Returns (number of distinct patterns seen, whether every pattern passes
-    the face criterion).  Deterministic given (family, trials, seed);
-    tied draws are redrawn.
+    the face criterion).  Inputs come from a private random.Random(seed), so
+    results depend only on (family, trials, seed) and the global random
+    state is left alone; a draw with a tied window maximum is redrawn.
     """
     if trials < 1:
         raise InvalidParamsError("trials must be >= 1")
-    d = family.ambient_size
+    draw = random.Random(seed).random
+    coords = range(family.ambient_size)
     patterns: set[tuple[int, ...]] = set()
     all_faces = True
-    mixed_seed = _mix64(seed & _M64)
-    for t in range(trials):
-        mixed_trial = _mix64(mixed_seed ^ t)
-        attempt = 0
+    for _ in range(trials):
         while True:
-            shift = attempt << 32
-            x = [_mix64(mixed_trial ^ (c + shift)) / _TWO64 for c in range(d)]
             try:
-                word = region_pattern(family, x)
+                word = region_pattern(family, [draw() for _ in coords])
                 break
             except TieDetectedError:
-                attempt += 1
+                pass
         if word not in patterns:
             patterns.add(word)
             if not is_face(selection_from_word(family, word)):

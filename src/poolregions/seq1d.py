@@ -137,15 +137,6 @@ def gf_closed(k: int, s: int) -> ClosedForm:
     return ClosedForm(gf=gfs[0], regimes=tuple(regimes))
 
 
-def trivial_count(n: int, k: int, s: int) -> int:
-    """b_n = k**n when 1 < k <= s+1 (disjoint or single-point overlaps)."""
-    if not 1 < k <= s + 1:
-        raise RegimeNotCoveredError(f"k**n only covers 1 < k <= s+1, got (k={k}, s={s})")
-    if n < 1:
-        raise InvalidParamsError("n must be >= 1")
-    return k**n
-
-
 def closed_initial(m: int, k: int, s: int) -> int:
     """b_{m+1} for proportional strides k = s(r+1), valid for 1 <= m <= r+2.
 

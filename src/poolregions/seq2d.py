@@ -121,14 +121,13 @@ def gf_2d() -> RationalGF:
 def count_2d(n: int, method: str = "b6", budget: int = oracle.DEFAULT_BUDGET) -> int:
     """Number of vertices V_n of the width-n polytope.
 
-    Methods: `oracle` (full enumeration, n <= 4), `b6` (entry (5, 6) of the
-    n-th power), `gf` (series coefficient).
+    Methods: `oracle` (full enumeration; the budget bounds n, and the
+    default of 10**8 stops it at n = 8), `b6` (entry (5, 6) of the n-th
+    power), `gf` (series coefficient).
     """
     if n < 2:
         raise InvalidParamsError("need n >= 2")
     if method == "oracle":
-        if n > 4:
-            raise InvalidParamsError("oracle route is restricted to n <= 4")
         return len(oracle.enumerate_vertices(windows_3xn(n), budget))
     if method == "b6":
         return mat_power_entry(b6_matrix(), n, 4, 5)
@@ -160,9 +159,12 @@ class ClassCounts:
 
 
 def class_counts(n: int, budget: int = oracle.DEFAULT_BUDGET) -> ClassCounts:
-    """Classify every oracle vertex by its rightmost column-pair component."""
-    if not 2 <= n <= 4:
-        raise InvalidParamsError("oracle-backed class counts cover 2 <= n <= 4")
+    """Classify every oracle vertex by its rightmost column-pair component.
+
+    The oracle budget bounds n; the default of 10**8 stops it at n = 8.
+    """
+    if n < 2:
+        raise InvalidParamsError("need n >= 2")
     fam = windows_3xn(n)
     pair_index = {pair: i for i, pair in enumerate(Q2_VERTEX_PAIRS)}
     counts = [0] * 14

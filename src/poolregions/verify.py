@@ -152,7 +152,7 @@ def check_trivial_regime():
     """b_n = k^n whenever 1 < k <= s+1, against the oracle."""
     for k, s in TRIVIAL_PAIRS:
         for n in range(1, 6):
-            want = seq1d.trivial_count(n, k, s)
+            want = seq1d.count_1d(n, k, s, "closed")
             got = len(oracle.enumerate_vertices(windows_1d(n, k, s)))
             if want != got:
                 _fail("trivial", f"(k={k},s={s},n={n}): k^n={want} oracle={got}")

@@ -95,6 +95,12 @@ def test_grid3xn_class_counts(capsys):
     assert len(payload["result"]["class_counts"]) == 14
 
 
+def test_grid3xn_class_counts_over_budget(capsys):
+    code, payload = run_json(capsys, "grid3xn", "--n", "8", "--class-counts")
+    assert code == 3
+    assert payload["error"] == "budget-exceeded"
+
+
 def test_grid2xn(capsys):
     code, payload = run_json(capsys, "grid2xn", "--n", "5")
     assert code == 0

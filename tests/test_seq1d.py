@@ -148,14 +148,11 @@ def test_single_window_count_is_k():
             assert seq1d.count_1d(1, k, s, "matrix") == k
 
 
-def test_trivial_count():
-    assert seq1d.trivial_count(3, 3, 2) == 27
-    assert seq1d.trivial_count(4, 2, 3) == 16
-    assert seq1d.trivial_count(1, 5, 5) == 5
-    with pytest.raises(RegimeNotCoveredError):
-        seq1d.trivial_count(2, 3, 1)
-    with pytest.raises(RegimeNotCoveredError):
-        seq1d.trivial_count(2, 1, 1)
+def test_count_1d_trivial_regime():
+    # k <= s + 1: the closed route returns k**n without a generating function
+    assert seq1d.count_1d(3, 3, 2, "closed") == 27
+    assert seq1d.count_1d(4, 2, 3, "closed") == 16
+    assert seq1d.count_1d(1, 5, 5, "closed") == 5
 
 
 def test_closed_initial_examples():

@@ -73,8 +73,8 @@ def test_count_2d_methods_agree():
 
 
 def test_count_2d_method_restrictions():
-    with pytest.raises(InvalidParamsError):
-        seq2d.count_2d(5, "oracle")
+    assert seq2d.count_2d(5, "oracle") == 15594
+    assert seq2d.class_counts(5).total() == 15594
     with pytest.raises(InvalidParamsError):
         seq2d.count_2d(1, "b6")
 
