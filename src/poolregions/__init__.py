@@ -41,6 +41,7 @@ from .model import (
 from .oracle import (
     DEFAULT_BUDGET,
     FVector,
+    count_vertices,
     enumerate_faces,
     enumerate_vertices,
     facet_count_oracle,

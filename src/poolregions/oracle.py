@@ -10,6 +10,15 @@ class graph is already cyclic: extending a selection only merges classes and
 adds edges, which maps an existing cycle onto a closed walk, so every
 extension of a cyclic prefix is cyclic.  The pruned walk therefore visits
 every acyclic list exactly once while skipping the (vast) cyclic bulk.
+
+The vertex walk needs one reachability sweep per node.  A vertex picks one
+coordinate per window, so its graph is the coordinate graph itself, and
+choosing a in window w adds the edges a -> w minus {a}.  The prefix graph is
+acyclic, so that choice closes a cycle exactly when some b in w already
+reaches a.  One sweep from the successors of all of w gives R+(w), the set w
+reaches along at least one edge, and the valid choices are w minus R+(w).
+`count_vertices` runs the walk of `enumerate_vertices` without building the
+words.
 """
 
 from __future__ import annotations
@@ -50,54 +59,68 @@ def _check_budget(sizes, per_window, budget):
             )
 
 
+def _vertex_walk(family, budget, words):
+    """Walk every acyclic word in lexicographic order; returns their number.
+
+    The words are appended to `words`, unless it is None.  `adj[a]` is the
+    out-edge bitmask of coordinate a in the prefix graph.
+    """
+    windows = [tuple(sorted(w)) for w in family.windows]
+    _check_budget(windows, len, budget)
+    last = len(windows) - 1
+    window_mask = [sum(1 << a for a in w) for w in windows]
+    adj: list[int] = [0] * family.ambient_size
+    word: list[int] = []
+    count = 0
+
+    def walk(level):
+        nonlocal count
+        w = windows[level]
+        wmask = window_mask[level]
+        frontier = 0
+        for b in w:
+            frontier |= adj[b]
+        seen = 0
+        while frontier:
+            low = frontier & -frontier
+            seen |= low
+            frontier = (frontier ^ low) | (adj[low.bit_length() - 1] & ~seen)
+        valid = w if not seen & wmask else [a for a in w if not seen >> a & 1]
+        if level == last:
+            count += len(valid)
+            if words is not None:
+                words.extend([(*word, a) for a in valid])
+            return
+        for a in valid:
+            saved = adj[a]
+            adj[a] = saved | (wmask ^ (1 << a))
+            word.append(a)
+            walk(level + 1)
+            word.pop()
+            adj[a] = saved
+
+    walk(0)
+    return count
+
+
 def enumerate_vertices(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     """All vertices of the family's polytope, as per-window coordinate words.
 
     Output order is lexicographic over words.  Each word is the acyclic
-    singleton selection picking word[i] in window i.
+    singleton selection picking word[i] in window i.  Choosing a in window w
+    adds the edges a -> w minus {a} to an acyclic prefix graph, so it closes
+    a cycle exactly when some b in w already reaches a.  One sweep from the
+    successors of all of w gives that reachable set R+(w); the valid choices
+    are w minus R+(w), taken in increasing order.
     """
-    windows = [tuple(sorted(w)) for w in family.windows]
-    _check_budget(windows, len, budget)
-    n = len(windows)
-    rest_mask = [
-        {a: sum(1 << b for b in w if b != a) for a in w} for w in windows
-    ]
+    words: list[tuple[int, ...]] = []
+    _vertex_walk(family, budget, words)
+    return words
 
-    out: list[tuple[int, ...]] = []
-    word: list[int] = []
-    adj: list[int] = [0] * family.ambient_size
 
-    def reaches_back(start, target_bit):
-        # singleton choices never merge classes, so the class graph is the
-        # coordinate graph; a prefix is acyclic, hence a new cycle must pass
-        # through the freshly added source, i.e. reach back to it
-        seen = 0
-        frontier = start
-        while frontier:
-            if frontier & target_bit:
-                return True
-            low = frontier & -frontier
-            seen |= low
-            frontier = (frontier ^ low) | (adj[low.bit_length() - 1] & ~seen)
-        return False
-
-    def walk(level):
-        if level == n:
-            out.append(tuple(word))
-            return
-        masks = rest_mask[level]
-        for a in windows[level]:
-            saved = adj[a]
-            new = saved | masks[a]
-            if not reaches_back(new, 1 << a):
-                adj[a] = new
-                word.append(a)
-                walk(level + 1)
-                word.pop()
-                adj[a] = saved
-
-    walk(0)
-    return out
+def count_vertices(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> int:
+    """Number of vertices: the walk of enumerate_vertices, without building words."""
+    return _vertex_walk(family, budget, None)
 
 
 def enumerate_faces(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVector:

@@ -160,7 +160,7 @@ def count_1d(n: int, k: int, s: int, method: str = "matrix", budget: int = oracl
     if n < 1 or k < 1 or s < 1:
         raise InvalidParamsError("n, k, s must be positive")
     if method == "oracle":
-        return len(oracle.enumerate_vertices(windows_1d(n, k, s), budget))
+        return oracle.count_vertices(windows_1d(n, k, s), budget)
     if method == "matrix":
         return sum(vec_mat_power((1,) * k, adjacency(k, s), n - 1))
     if method == "gf":

@@ -128,7 +128,7 @@ def count_2d(n: int, method: str = "b6", budget: int = oracle.DEFAULT_BUDGET) ->
     if n < 2:
         raise InvalidParamsError("need n >= 2")
     if method == "oracle":
-        return len(oracle.enumerate_vertices(windows_3xn(n), budget))
+        return oracle.count_vertices(windows_3xn(n), budget)
     if method == "b6":
         return mat_power_entry(b6_matrix(), n, 4, 5)
     if method == "gf":

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poolregions import oracle
 from poolregions.errors import BudgetExceededError, TieDetectedError
@@ -56,6 +58,28 @@ def test_enumerate_faces_matches_reference(family):
 @pytest.mark.parametrize("family", SMALL_FAMILIES, ids=range(len(SMALL_FAMILIES)))
 def test_enumerate_vertices_matches_reference(family):
     assert oracle.enumerate_vertices(family) == reference_vertices(family)
+
+
+@pytest.mark.parametrize("family", SMALL_FAMILIES, ids=range(len(SMALL_FAMILIES)))
+def test_count_vertices_matches_reference(family):
+    assert oracle.count_vertices(family) == len(reference_vertices(family))
+
+
+@st.composite
+def families(draw):
+    # as in test_frontier: d <= 7, at most 4 windows, gap coordinates allowed
+    d = draw(st.integers(1, 7))
+    window = st.frozensets(st.integers(0, d - 1), min_size=1, max_size=d)
+    return WindowFamily(d, tuple(draw(st.lists(window, min_size=1, max_size=4))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(families())
+@example(WindowFamily(5, (frozenset({0, 1, 2}), frozenset({2, 3}), frozenset({3, 4, 0}))))
+def test_vertex_walk_matches_reference_on_random_families(family):
+    want = reference_vertices(family)
+    assert oracle.enumerate_vertices(family) == want
+    assert oracle.count_vertices(family) == len(want)
 
 
 @pytest.mark.parametrize("family", SMALL_FAMILIES, ids=range(len(SMALL_FAMILIES)))
@@ -136,6 +160,8 @@ def test_product_family_top_dimension():
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         oracle.enumerate_vertices(windows_1d(20, 6, 1), budget=10**6)
+    with pytest.raises(BudgetExceededError):
+        oracle.count_vertices(windows_1d(20, 6, 1), budget=10**6)
     with pytest.raises(BudgetExceededError):
         oracle.enumerate_faces(windows_3xn(5))  # 15^8 over the default budget
 

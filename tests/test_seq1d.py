@@ -135,6 +135,10 @@ def test_count_methods_agree_small_grid():
                     assert math.ceil(k / 2) > s and k % s != 0 and k > s + 1
 
 
+def test_oracle_count_at_n12():
+    assert seq1d.count_1d(12, 3, 1, "oracle") == seq1d.count_1d(12, 3, 1, "matrix")
+
+
 def test_count_examples():
     assert seq1d.count_1d(1, 4, 1, "matrix") == 4
     assert seq1d.count_1d(5, 3, 1, "gf") == 81

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from poolregions import polyalg, seq1d, seq2d
+from poolregions import oracle, polyalg, seq1d, seq2d
 from poolregions.errors import InvalidParamsError
 from poolregions.faces import is_face, selection_from_word
 from poolregions.model import windows_3xn
@@ -70,6 +70,11 @@ def test_count_2d_methods_agree():
         assert seq2d.count_2d(n, "oracle") == want
     for n in range(2, 21):
         assert seq2d.count_2d(n, "gf") == seq2d.count_2d(n, "b6")
+
+
+def test_oracle_counts_width_6():
+    # 158,050 vertices, counted without building their words
+    assert oracle.count_vertices(windows_3xn(6)) == seq2d.count_2d(6, "gf")
 
 
 def test_count_2d_method_restrictions():
