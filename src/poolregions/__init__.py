@@ -44,8 +44,6 @@ from .oracle import (
     count_vertices,
     enumerate_faces,
     enumerate_vertices,
-    facet_count_oracle,
-    facet_count_two_classes,
     region_pattern,
     sample_regions,
 )

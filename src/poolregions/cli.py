@@ -69,7 +69,9 @@ def _emit_csv(payload):
 
 
 def _family(args):
-    if getattr(args, "grid3xn", None) is not None:
+    if args.grid3xn is not None:
+        if (args.k, args.s, args.n) != (None, None, None):
+            raise InvalidParamsError("--grid3xn excludes --k/--s/--n")
         return windows_3xn(args.grid3xn), {"grid3xn": args.grid3xn}
     if args.k is None or args.s is None or args.n is None:
         raise InvalidParamsError("need --k/--s/--n or --grid3xn")
@@ -131,6 +133,8 @@ def _cmd_total_faces(args):
 def _cmd_facets(args):
     params = {"n": args.n, "k": args.k, "s": args.s}
     if args.paper_literal:
+        if args.hrep or args.oracle:
+            raise InvalidParamsError("--paper-literal excludes --hrep and --oracle")
         fam = windows_1d(args.n, args.k, args.s)
         report = facets1d.printed_description_diff(
             args.n, args.k, args.s, oracle.enumerate_vertices(fam, budget=args.budget)
@@ -157,6 +161,8 @@ def _cmd_facets(args):
 
 def _cmd_growth(args):
     if args.grid3xn:
+        if args.k is not None or args.s is not None or args.large_strides:
+            raise InvalidParamsError("--grid3xn excludes --k/--s and --large-strides")
         value = seq2d.growth_2d()
         _emit(args, "growth", {"grid3xn": True}, repr(value), ["matrix-root"])
         return EXIT_OK
@@ -176,6 +182,8 @@ def _cmd_growth(args):
 def _cmd_grid3xn(args):
     params = {"n": args.n, "method": args.method or "all"}
     if args.class_counts:
+        if args.method:
+            raise InvalidParamsError("--class-counts excludes --method")
         cc = seq2d.class_counts(args.n, budget=args.budget)
         result = {"class_counts": [str(c) for c in cc.counts], "total": str(cc.total())}
         _emit(args, "grid3xn", params, result, ["oracle"])
@@ -343,7 +351,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(json.dumps({"error": "verification-failure", "detail": str(exc)}))
         return EXIT_VERIFY
-    except (InvalidParamsError, RegimeNotCoveredError, PoolRegionsError) as exc:
+    except PoolRegionsError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         return EXIT_INVALID
     finally:

@@ -67,6 +67,11 @@ def vertex_points(ambient: int, words) -> list[tuple[int, ...]]:
     return points
 
 
+def _check_params(what, n, k, s):
+    if not (k > s >= 1 and n >= 1):
+        raise InvalidParamsError(f"{what} needs k > s >= 1, n >= 1")
+
+
 def _e(indices, K):
     row = [0] * K
     for i in indices:
@@ -83,10 +88,7 @@ def h_representation(n: int, k: int, s: int) -> HRep:
     (r = 1..n-1), where consecutive windows meet in the single point a, do
     not support facets and are excluded from the x_a >= 0 family.
     """
-    if k <= s or s < 1 or n < 1:
-        raise InvalidParamsError("h-representation needs k > s >= 1, n >= 1")
-    if k <= 1:
-        raise InvalidParamsError("need k >= 2")
+    _check_params("h-representation", n, k, s)
     K = s * (n - 1) + k
     equalities = (HRow((1,) * K, n, "=", "affine-span"),)
 
@@ -116,8 +118,7 @@ def printed_rows(n: int, k: int, s: int) -> tuple[HRow, ...]:
     Kept only for the diff report: several of these rows are violated by
     actual vertices.
     """
-    if k <= s or n < 1:
-        raise InvalidParamsError("needs k > s >= 1, n >= 1")
+    _check_params("printed description", n, k, s)
     K = s * (n - 1) + k
     rows = [HRow((1,) * K, n, "=", "affine-span")]
     for r in range(n - 1):

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InvalidParamsError, TieDetectedError
-from .faces import FaceSelection, build_selection_graph, is_face, selection_from_word
+from .faces import is_face, selection_from_word
 from .model import WindowFamily
 
 DEFAULT_BUDGET = 10**8
@@ -235,48 +235,6 @@ def enumerate_faces(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVect
     walk(0)
     top = max(dim for dim, c in enumerate(counts) if c)
     return FVector(counts={dim: c for dim, c in enumerate(counts) if c}, polytope_dim=top)
-
-
-def facet_count_oracle(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> int:
-    """Number of faces of dimension polytope_dim - 1."""
-    return enumerate_faces(family, budget).facet_count()
-
-
-def facet_count_two_classes(family: WindowFamily) -> int:
-    """Count acyclic selections with exactly two classes, without a full walk.
-
-    A selection whose graph has two classes {A, B} and no loop must choose,
-    in every window, exactly the window's A-part or exactly its B-part
-    (anything smaller leaves an unchosen coordinate in the chooser's own
-    class, i.e. a loop), and all straddling windows must take the same side
-    (mixed sides give a 2-cycle).  Scanning all 2-block coordinate partitions
-    and both side choices is therefore exhaustive; each candidate's verdict
-    still comes from the face criterion itself.  Equals facet_count_oracle
-    whenever the polytope has dimension d - 1.
-    """
-    windows = family.windows
-    d = family.ambient_size
-    count = 0
-    # coordinate 0 stays in A so each unordered partition is seen once
-    for b_mask in range(1, 1 << (d - 1)):
-        b_set = frozenset(i for i in range(1, d) if b_mask >> (i - 1) & 1)
-        a_set = frozenset(range(d)) - b_set
-        parts = [(w & a_set, w & b_set) for w in windows]
-        straddlers = any(wa and wb for wa, wb in parts)
-        sides = (0, 1) if straddlers else (0,)
-        for side in sides:
-            chosen = tuple(
-                (wa if side == 0 else wb) if (wa and wb) else (wa or wb)
-                for wa, wb in parts
-            )
-            graph = build_selection_graph(FaceSelection(family, chosen))
-            if (
-                graph.acyclic
-                and len(graph.classes) == 2
-                and set(graph.classes) == {a_set, b_set}
-            ):
-                count += 1
-    return count
 
 
 def region_pattern(family: WindowFamily, x) -> tuple[int, ...]:

@@ -291,15 +291,9 @@ def check_two_dim(full=True):
             _fail("two-dim", f"2xn V'_{n} = {got} != {want}")
     facet_max = 4 if full else 3
     for n in range(2, facet_max + 1):
-        got = oracle.facet_count_oracle(windows_3xn(n), budget=10**10)
+        got = oracle.enumerate_faces(windows_3xn(n)).facet_count()
         if got != Q_FACETS[n]:
             _fail("two-dim", f"Q_{n} facets via enumeration = {got} != {Q_FACETS[n]}")
-    # the partition scan is Q_4's only leg besides the DP at the quick level;
-    # the DP and the full-tier 3x5 enumeration confirm Q_5
-    for n in range(2, 5):
-        got = oracle.facet_count_two_classes(windows_3xn(n))
-        if got != Q_FACETS[n]:
-            _fail("two-dim", f"Q_{n} facets via partition scan = {got} != {Q_FACETS[n]}")
     for n, want in Q_FACETS.items():
         got = frontier.fvector(windows_3xn(n)).facet_count()
         if got != want:

@@ -247,6 +247,15 @@ def test_results_beyond_int_digit_limit(capsys):
     ("regions", "--k", "3", "--s", "1", "--n", "2", "--sample", "0"),
     ("--budget", "0", "total-faces", "--k", "3", "--s", "1", "--n", "2"),
     ("--budget", "-5", "vertices", "--k", "3", "--s", "1", "--n", "3", "--method", "oracle"),
+    # contradictory flags: each would drop part of the request
+    ("growth", "--grid3xn", "--large-strides"),
+    ("growth", "--grid3xn", "--k", "3", "--s", "1"),
+    ("grid3xn", "--n", "3", "--class-counts", "--method", "gf"),
+    ("facets", "--k", "3", "--s", "1", "--n", "2", "--paper-literal", "--oracle"),
+    ("facets", "--k", "3", "--s", "1", "--n", "2", "--paper-literal", "--hrep"),
+    ("fvector", "--grid3xn", "2", "--k", "3"),
+    ("total-faces", "--grid3xn", "2", "--s", "1"),
+    ("regions", "--grid3xn", "2", "--n", "2", "--sample", "10"),
 ])
 def test_invalid_input_exit_code(capsys, argv):
     code, payload = run_json(capsys, *argv)

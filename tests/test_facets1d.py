@@ -86,6 +86,14 @@ def test_printed_rows_shape():
     assert by_label["suffix-union 1"].rhs == 0  # printed constant r-1
 
 
+@pytest.mark.parametrize("fn", [facets1d.h_representation, facets1d.printed_rows])
+@pytest.mark.parametrize("n,k,s", [(2, 3, 0), (2, 2, 2), (0, 3, 1)])
+def test_descriptions_reject_bad_params(fn, n, k, s):
+    # both descriptions need k > s >= 1, n >= 1; printed_rows(2, 3, 0) used to return rows
+    with pytest.raises(InvalidParamsError, match=r"needs k > s >= 1, n >= 1"):
+        fn(n, k, s)
+
+
 def test_diff_report_shows_violations():
     report = facets1d.printed_description_diff(
         2, 3, 1, oracle.enumerate_vertices(windows_1d(2, 3, 1))

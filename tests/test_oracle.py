@@ -118,35 +118,9 @@ def test_total_face_count_golden():
 
 
 def test_facet_count_golden():
-    assert oracle.facet_count_oracle(windows_1d(2, 3, 1)) == 6
-    assert oracle.facet_count_oracle(windows_3xn(2)) == 8
-    assert oracle.facet_count_oracle(windows_3xn(3)) == 21
-
-
-def test_facet_count_two_classes_agrees():
-    for fam in SMALL_FAMILIES:
-        fv = oracle.enumerate_faces(fam)
-        if fv.polytope_dim == fam.ambient_size - 1:
-            assert oracle.facet_count_two_classes(fam) == oracle.facet_count_oracle(fam)
-
-
-def test_facet_count_two_classes_random_families():
-    # irregular window shapes, full-dimensional or not: the partition scan
-    # must always count the 2-class entries of the f-vector
-    import random
-
-    rng = random.Random(2024)
-    for _ in range(40):
-        d = rng.randint(2, 7)
-        n = rng.randint(1, 4)
-        windows = []
-        for _ in range(n):
-            size = rng.randint(1, min(4, d))
-            windows.append(frozenset(rng.sample(range(d), size)))
-        fam = WindowFamily(d, tuple(windows))
-        fv = oracle.enumerate_faces(fam)
-        expected = fv.counts.get(fam.ambient_size - 2, 0)
-        assert oracle.facet_count_two_classes(fam) == expected
+    assert oracle.enumerate_faces(windows_1d(2, 3, 1)).facet_count() == 6
+    assert oracle.enumerate_faces(windows_3xn(2)).facet_count() == 8
+    assert oracle.enumerate_faces(windows_3xn(3)).facet_count() == 21
 
 
 def test_product_family_top_dimension():

@@ -68,25 +68,15 @@ def test_face_tables_check_compares_frontier_with_oracle(monkeypatch):
         verify.check_face_tables(full=False)
 
 
-def test_facets_check_runs_no_partition_scan(monkeypatch):
-    # the oracle's f-vector of the same cell already gives its facet count
-    calls = []
-    monkeypatch.setattr(oracle, "facet_count_two_classes", lambda family: calls.append(family))
-    verify.check_facets(False)
-    assert calls == []
-
-
-def test_two_dim_partition_scan_stops_at_q4(monkeypatch):
-    scanned = []
-    scan = oracle.facet_count_two_classes
-
-    def recorded(family):
-        scanned.append(family.ambient_size // 3)
-        return scan(family)
-
-    monkeypatch.setattr(oracle, "facet_count_two_classes", recorded)
-    verify.check_two_dim(False)
-    assert scanned == [2, 3, 4]
+@pytest.mark.parametrize("n,wrong,message", [
+    (3, 22, "Q_3 facets via enumeration = 21 != 22"),
+    (4, 41, "Q_4 facets via frontier DP = 40 != 41"),
+])
+def test_two_dim_catches_a_wrong_facet_count(monkeypatch, n, wrong, message):
+    # Q_3 is the face walk's last size at the quick level; Q_4 only the DP checks
+    monkeypatch.setitem(verify.Q_FACETS, n, wrong)
+    with pytest.raises(VerificationError, match=message):
+        verify.check_two_dim(False)
 
 
 def _raises_assertion_error(node):
