@@ -237,6 +237,19 @@ def enumerate_faces(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVect
     return FVector(counts={dim: c for dim, c in enumerate(counts) if c}, polytope_dim=top)
 
 
+# Nothing in the package calls these two.  They keep the names that the
+# benchmark's per-layer list (BENCHMARK.json, perfbench/layertrace.py) still
+# reads, and go when that list drops them.
+def facet_count_oracle(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> int:
+    """Number of facets, by the face walk."""
+    return enumerate_faces(family, budget).facet_count()
+
+
+def facet_count_two_classes(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> int:
+    """Number of two-class faces (dimension d - 2), by the face walk."""
+    return enumerate_faces(family, budget).counts.get(family.ambient_size - 2, 0)
+
+
 def region_pattern(family: WindowFamily, x) -> tuple[int, ...]:
     """Per-window argmax word of an input point (its gradient pattern).
 

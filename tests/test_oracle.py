@@ -123,6 +123,15 @@ def test_facet_count_golden():
     assert oracle.enumerate_faces(windows_3xn(3)).facet_count() == 21
 
 
+def test_benchmark_named_facet_counts():
+    # the two counts agree exactly when the polytope has dimension d - 1
+    assert oracle.facet_count_oracle(windows_3xn(3)) == 21
+    assert oracle.facet_count_two_classes(windows_3xn(3)) == 21
+    # a square in R^4: four edges, and the square itself is the one two-class face
+    assert oracle.facet_count_oracle(windows_1d(2, 2, 2)) == 4
+    assert oracle.facet_count_two_classes(windows_1d(2, 2, 2)) == 1
+
+
 def test_product_family_top_dimension():
     # disjoint windows: polytope is a product, top dimension drops
     fam = windows_1d(2, 2, 2)
