@@ -54,6 +54,7 @@ from .polyalg import (
     gf_equal,
     gf_from_matrix,
     rational_gf,
+    series_coeff,
     series_coeffs,
     smallest_positive_root,
     smallest_positive_root_bracket,

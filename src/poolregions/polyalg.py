@@ -5,14 +5,18 @@ Polynomials are tuples of Python ints in ascending degree with no trailing
 zero (the zero polynomial is the empty tuple).  Everything is exact and,
 except for root bracketing, stays in the integers: gcds by primitive
 pseudo-remainder sequences, exact division by integer long division,
-det(I - xM) by the Faddeev-LeVerrier recurrence.  Root brackets have
-`Fraction` endpoints; floats appear only in the final root estimate.
+det(I - xM) by the Faddeev-LeVerrier recurrence, run once per distinct
+matrix per process (a bounded cache keyed by the entries).  A single series
+coefficient comes from Bostan-Mori halving in O(log n) polynomial products;
+a prefix of coefficients from the denominator recurrence.  Root brackets
+have `Fraction` endpoints; floats appear only in the final root estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import mul
 
@@ -275,11 +279,18 @@ def det_poly(m: TransferMatrix) -> IntPoly:
     Faddeev-LeVerrier: M_1 = M, a_k = -tr(M_k)/k, M_{k+1} = M (M_k + a_k I).
     The a_k are the coefficients of the characteristic polynomial, so
     det(I - xM) = 1 + a_1 x + ... + a_p x^p.  Each trace is divisible by k
-    in exact arithmetic; a remainder raises ArithmeticError.
+    in exact arithmetic; a remainder raises ArithmeticError.  The result is
+    cached per process by the matrix entries, so the `gf`, `growth` and
+    `vertices` queries of one (k, s) run the recurrence once.
     """
-    p = m.size
+    return _det_poly(m.entries)
+
+
+@lru_cache(maxsize=256)
+def _det_poly(entries) -> IntPoly:
+    p = len(entries)
     coeffs = [1]
-    mk = m.entries
+    mk = entries
     for k in range(1, p + 1):
         a, r = divmod(-sum(mk[i][i] for i in range(p)), k)
         if r:
@@ -289,7 +300,7 @@ def det_poly(m: TransferMatrix) -> IntPoly:
             shifted = [
                 [x + a if i == j else x for j, x in enumerate(row)] for i, row in enumerate(mk)
             ]
-            mk = _mat_mul(m.entries, shifted)
+            mk = _mat_mul(entries, shifted)
     return poly(coeffs)
 
 
@@ -316,14 +327,18 @@ def gf_from_matrix(m: TransferMatrix, left, right) -> RationalGF:
     return rational_gf(num, den)
 
 
+def _check_den(den):
+    if not den or den[0] == 0:
+        raise InvalidParamsError("denominator constant coefficient must be nonzero")
+
+
 def series_coeffs(gf: RationalGF, upto: int):
     """Taylor coefficients c_0..c_upto at 0, via the denominator recurrence.
 
     Raises NonIntegerCoefficientError if the expansion leaves the integers.
     """
     den = gf.den
-    if not den or den[0] == 0:
-        raise InvalidParamsError("denominator constant coefficient must be nonzero")
+    _check_den(den)
     d0 = den[0]
     num = gf.num
     out = []
@@ -335,6 +350,31 @@ def series_coeffs(gf: RationalGF, upto: int):
             raise NonIntegerCoefficientError(f"coefficient {n} is {acc}/{d0}")
         out.append(acc // d0)
     return out
+
+
+def series_coeff(gf: RationalGF, n: int) -> int:
+    """The Taylor coefficient c_n at 0 alone, by Bostan-Mori halving.
+
+    P/Q = P(x)Q(-x) / V(x^2) with V(x^2) = Q(x)Q(-x), since that product is
+    even.  So c_n is coefficient n // 2 of U/V, where U keeps the
+    coefficients of P(x)Q(-x) whose index has the parity of n.  Each step
+    halves n with two polynomial products; at n = 0 the coefficient is
+    P(0)/Q(0).  Raises NonIntegerCoefficientError unless c_n is an integer.
+    """
+    if n < 0:
+        raise InvalidParamsError("coefficient index must be nonnegative")
+    p, q = gf.num, gf.den
+    _check_den(q)
+    index = n
+    while n:
+        q_neg = tuple(-c if i & 1 else c for i, c in enumerate(q))
+        p = poly_mul(p, q_neg)[n & 1::2]
+        q = poly_mul(q, q_neg)[::2]
+        n >>= 1
+    c, r = divmod(p[0] if p else 0, q[0])
+    if r:
+        raise NonIntegerCoefficientError(f"coefficient {index} is {p[0]}/{q[0]}")
+    return c
 
 
 def _sign(value) -> int:

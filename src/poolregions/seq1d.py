@@ -29,7 +29,7 @@ from .polyalg import (
     gf_equal,
     gf_from_matrix,
     rational_gf,
-    series_coeffs,
+    series_coeff,
     smallest_positive_root,
     vec_mat_power,
 )
@@ -164,12 +164,12 @@ def count_1d(n: int, k: int, s: int, method: str = "matrix", budget: int = oracl
     if method == "matrix":
         return sum(vec_mat_power((1,) * k, adjacency(k, s), n - 1))
     if method == "gf":
-        return series_coeffs(gf_1d(k, s), n - 1)[n - 1]
+        return series_coeff(gf_1d(k, s), n - 1)
     if method == "closed":
         if k <= s + 1:
             return k**n
         closed = gf_closed(k, s)
-        return series_coeffs(closed.gf, n)[n]
+        return series_coeff(closed.gf, n)
     raise InvalidParamsError(f"unknown method {method!r}")
 
 

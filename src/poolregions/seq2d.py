@@ -33,7 +33,7 @@ from .polyalg import (
     TransferMatrix,
     mat_power_entry,
     rational_gf,
-    series_coeffs,
+    series_coeff,
     smallest_positive_root,
 )
 
@@ -132,7 +132,7 @@ def count_2d(n: int, method: str = "b6", budget: int = oracle.DEFAULT_BUDGET) ->
     if method == "b6":
         return mat_power_entry(b6_matrix(), n, 4, 5)
     if method == "gf":
-        return series_coeffs(gf_2d(), n)[n]
+        return series_coeff(gf_2d(), n)
     raise InvalidParamsError(f"unknown method {method!r}")
 
 

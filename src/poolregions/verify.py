@@ -29,6 +29,7 @@ from .polyalg import (
     one_plus_x_times,
     poly_mul,
     rational_gf,
+    series_coeff,
     series_coeffs,
     smallest_positive_root_bracket,
     poly_eval,
@@ -83,6 +84,9 @@ def check_golden_gf_k3s1():
     coeffs = series_coeffs(g, 4)
     if coeffs != [3, 7, 16, 36, 81]:
         _fail("golden-gf", f"series starts {coeffs}")
+    halved = [series_coeff(g, n) for n in range(5)]
+    if halved != coeffs:
+        _fail("golden-gf", f"series_coeff gives {halved}")
     return "gf_1d(3,1) = (3+x-x^2)/(1-2x-x^2+x^3); series [3,7,16,36,81]"
 
 

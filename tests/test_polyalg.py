@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolregions import polyalg, seq1d, seq2d
+from poolregions import cli, polyalg, seq1d, seq2d
 from poolregions.errors import (
     InvalidParamsError,
     NonIntegerCoefficientError,
@@ -28,6 +28,7 @@ from poolregions.polyalg import (
     poly_gcd,
     poly_mul,
     rational_gf,
+    series_coeff,
     series_coeffs,
     smallest_positive_root,
     smallest_positive_root_bracket,
@@ -353,6 +354,60 @@ def test_series_coeffs_non_integer():
         series_coeffs(RationalGF((1,), (2, -1)), 3)
     with pytest.raises(InvalidParamsError):
         series_coeffs(RationalGF((1,), (0, 1)), 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), max_size=12).map(poly),
+    st.lists(st.integers(-9, 9), max_size=6).map(lambda tail: poly([1] + tail)),
+    st.integers(0, 400),
+)
+def test_series_coeff_matches_the_prefix_route(num, den, n):
+    # num may be longer than den: halving keeps the polynomial part exact
+    gf = RationalGF(num, den)
+    assert series_coeff(gf, n) == series_coeffs(gf, n)[n]
+
+
+def test_series_coeff_of_every_1d_gf():
+    for k in range(2, 17):
+        for s in range(1, k):
+            gf = seq1d.gf_1d(k, s)
+            ns = (0, 1, 2, k, 295, 1000)
+            prefix = series_coeffs(gf, max(ns))
+            assert [series_coeff(gf, n) for n in ns] == [prefix[n] for n in ns]
+
+
+def test_series_coeff_of_the_3xn_gf_matches_b6():
+    assert series_coeff(seq2d.gf_2d(), 4500) == seq2d.count_2d(4500, "b6")
+
+
+def test_series_coeff_rejects_non_integer_and_bad_input():
+    with pytest.raises(NonIntegerCoefficientError, match="coefficient 3 is"):
+        series_coeff(RationalGF((1,), (2, -1)), 3)
+    with pytest.raises(InvalidParamsError):
+        series_coeff(RationalGF((1,), (0, 1)), 3)
+    with pytest.raises(InvalidParamsError):
+        series_coeff(RationalGF((1,), (1, -1)), -1)
+
+
+def test_det_poly_cache_matches_a_fresh_recurrence():
+    for k, s in ((3, 1), (7, 4), (16, 5)):
+        m = seq1d.adjacency(k, s)
+        assert det_poly(m) == polyalg._det_poly.__wrapped__(m.entries)
+        assert det_poly(m) is det_poly(TransferMatrix(k, m.entries))
+
+
+def test_algebra_queries_of_one_pair_run_faddeev_leverrier_once(capsys):
+    polyalg._det_poly.cache_clear()
+    for argv in (
+        ["gf", "--k", "9", "--s", "4"],
+        ["growth", "--k", "9", "--s", "4"],
+        ["vertices", "--k", "9", "--s", "4", "--n", "300"],
+    ):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    info = polyalg._det_poly.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_smallest_positive_root_simple():

@@ -191,3 +191,9 @@ def test_two_dim_proves_the_gf_identities(mutate, message, monkeypatch):
     mutate(monkeypatch)
     with pytest.raises(VerificationError, match=message):
         verify.check_two_dim(False)
+
+
+def test_golden_gf_cross_checks_the_halving_route(monkeypatch):
+    _off_by_one(verify, "series_coeff", lambda gf, n: n == 3)(monkeypatch)
+    with pytest.raises(VerificationError, match=r"golden-gf: series_coeff gives \[3, 7, 16, 37, 81\]"):
+        verify.check_golden_gf_k3s1()
