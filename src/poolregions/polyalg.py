@@ -5,11 +5,15 @@ Polynomials are tuples of Python ints in ascending degree with no trailing
 zero (the zero polynomial is the empty tuple).  Everything is exact and,
 except for root bracketing, stays in the integers: gcds by primitive
 pseudo-remainder sequences, exact division by integer long division,
-det(I - xM) by the Faddeev-LeVerrier recurrence, run once per distinct
-matrix per process (a bounded cache keyed by the entries).  A single series
-coefficient comes from Bostan-Mori halving in O(log n) polynomial products;
-a prefix of coefficients from the denominator recurrence.  Root brackets
-have `Fraction` endpoints; floats appear only in the final root estimate.
+det(I - xM) by Berkowitz's division-free algorithm (about p^4/4
+multiplications for a p x p matrix, no matrix product), run once per
+distinct matrix per process (a bounded cache keyed by the entries).
+v . M^n squares M only while the exponent left exceeds p and finishes with
+at most p vector products, so the largest powers are never formed.  A
+single series coefficient comes from Bostan-Mori halving in O(log n)
+polynomial products; a prefix of coefficients from the denominator
+recurrence.  Root brackets have `Fraction` endpoints; floats appear only in
+the final root estimate.
 """
 
 from __future__ import annotations
@@ -198,7 +202,11 @@ def mat_vec(m: TransferMatrix, v):
 
 def vec_mat(v, m: TransferMatrix):
     """v . M as a tuple."""
-    return tuple(sum(map(mul, v, col)) for col in zip(*m.entries))
+    return _vec_mat(v, m.entries)
+
+
+def _vec_mat(v, rows):
+    return tuple(sum(map(mul, v, col)) for col in zip(*rows))
 
 
 def _mat_mul(a, b):
@@ -207,22 +215,34 @@ def _mat_mul(a, b):
 
 
 def vec_mat_power(v, m: TransferMatrix, n: int):
-    """v . M^n by binary powering: about log2(n) squarings of M."""
+    """v . M^n, squaring M only while the exponent left exceeds p = m.size.
+
+    Binary powering consumes the low bits of n while n > p; the exponent n'
+    left then is at most p, and v is multiplied by the current power M^(2^j)
+    n' times.  Those n' <= p vector products cost no more than one further
+    squaring (p^3 multiplications), and the largest powers, whose entries
+    are the longest integers, are never formed.
+    """
     if n < 0:
         raise InvalidParamsError("matrix power must be nonnegative")
     v = tuple(v)
-    power = m
-    while n:
+    if len(v) != m.size:
+        raise InvalidParamsError("vector length must match the matrix size")
+    power = m.entries
+    while n > m.size:
         if n & 1:
-            v = vec_mat(v, power)
+            v = _vec_mat(v, power)
         n >>= 1
-        if n:
-            power = TransferMatrix(m.size, _mat_mul(power.entries, power.entries))
+        power = _mat_mul(power, power)
+    for _ in range(n):
+        v = _vec_mat(v, power)
     return v
 
 
 def mat_power_entry(m: TransferMatrix, n: int, i: int, j: int) -> int:
     """Entry (i, j), zero-based, of the n-th power (exact big integers)."""
+    if not (0 <= i < m.size and 0 <= j < m.size):
+        raise InvalidParamsError("entry index out of range for the matrix size")
     e_i = tuple(1 if t == i else 0 for t in range(m.size))
     return vec_mat_power(e_i, m, n)[j]
 
@@ -276,31 +296,40 @@ def int_rank(rows) -> int:
 def det_poly(m: TransferMatrix) -> IntPoly:
     """det(I - x*M) as an integer polynomial of degree <= size.
 
-    Faddeev-LeVerrier: M_1 = M, a_k = -tr(M_k)/k, M_{k+1} = M (M_k + a_k I).
-    The a_k are the coefficients of the characteristic polynomial, so
-    det(I - xM) = 1 + a_1 x + ... + a_p x^p.  Each trace is divisible by k
-    in exact arithmetic; a remainder raises ArithmeticError.  The result is
-    cached per process by the matrix entries, so the `gf`, `growth` and
-    `vertices` queries of one (k, s) run the recurrence once.
+    Berkowitz's division-free algorithm: the characteristic polynomial of
+    the leading r x r block A_r comes from that of A_(r-1) by a product with
+    the lower-triangular Toeplitz matrix whose first column is
+    (1, -a_rr, -R.C, -R.A.C, -R.A^2.C, ...), where R holds the entries left
+    of the diagonal in row r, C those above it in column r, and A = A_(r-1).
+    Those terms need r - 2 matrix-vector products, so a p x p matrix costs
+    about p^4/4 integer multiplications and never a matrix product.  The
+    coefficients of det(tI - M) from the top down are those of det(I - xM)
+    from x^0 up.  The result is cached per process by the matrix entries,
+    so the `gf`, `growth` and `vertices` queries of one (k, s) compute it
+    once.
     """
     return _det_poly(m.entries)
 
 
 @lru_cache(maxsize=256)
 def _det_poly(entries) -> IntPoly:
-    p = len(entries)
-    coeffs = [1]
-    mk = entries
-    for k in range(1, p + 1):
-        a, r = divmod(-sum(mk[i][i] for i in range(p)), k)
-        if r:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible by k")
-        coeffs.append(a)
-        if k < p:
-            shifted = [
-                [x + a if i == j else x for j, x in enumerate(row)] for i, row in enumerate(mk)
-            ]
-            mk = _mat_mul(entries, shifted)
+    coeffs = [1]  # det(tI - A_r) from the top down; A_0 is empty
+    for r, row in enumerate(entries):
+        # A, R and C of the docstring; w runs through C, A.C, A^2.C, ...
+        block = [above[:r] for above in entries[:r]]
+        left = row[:r]
+        w = [above[r] for above in entries[:r]]
+        column = [1, -row[r]]
+        for t in range(r):
+            column.append(-sum(map(mul, left, w)))
+            if t < r - 1:
+                w = [sum(map(mul, b, w)) for b in block]
+        nxt = [0] * (r + 2)
+        for j, c in enumerate(coeffs):
+            if c:
+                for i, f in enumerate(column[: r + 2 - j]):
+                    nxt[i + j] += f * c
+        coeffs = nxt
     return poly(coeffs)
 
 

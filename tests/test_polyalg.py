@@ -83,9 +83,8 @@ def test_det_poly_matches_scalar_determinant():
 
 
 def test_det_poly_matches_sympy_charpoly():
-    # every size up to 12, so the exact division of a trace by k runs at
-    # each k <= 12; det(I - xM) lists the coefficients of det(tI - M)
-    # from the top down
+    # every size up to 12, so each Berkowitz step r <= 12 runs;
+    # det(I - xM) lists the coefficients of det(tI - M) from the top down
     rng = random.Random(7)
     t = sympy.Symbol("t")
     for p in [*range(1, 13), *(rng.randint(1, 12) for _ in range(6))]:
@@ -103,22 +102,28 @@ def _scalar_det_at(m, x0):
     )
 
 
+def _assert_det_poly_is_pinned_by_bareiss(m):
+    # both sides have degree <= p, so agreement at p + 1 distinct points
+    # makes them the same polynomial
+    p = m.size
+    dp = det_poly(m)
+    assert len(dp) <= p + 1
+    for x0 in range(-(p // 2), p + 1 - p // 2):
+        assert poly_eval(dp, x0) == _scalar_det_at(m, x0)
+
+
 def test_det_poly_of_the_package_matrices_matches_bareiss():
     matrices = [seq1d.adjacency(k, s) for k in range(2, 17) for s in range(1, k)]
     matrices += [seq2d.b6_matrix(), seq2d.derive_a14()]
     assert len(matrices) == 122
     for m in matrices:
-        dp = det_poly(m)
-        for x0 in (-2, 3, m.size + 2):
-            assert poly_eval(dp, x0) == _scalar_det_at(m, x0)
+        _assert_det_poly_is_pinned_by_bareiss(m)
 
 
 @settings(max_examples=40, deadline=None)
 @given(transfer_matrices(8, 5))
 def test_det_poly_matches_bareiss_on_random_matrices(m):
-    p = m.size
-    for x0 in (-3, -1, p + 1, p + 4):
-        assert poly_eval(det_poly(m), x0) == _scalar_det_at(m, x0)
+    _assert_det_poly_is_pinned_by_bareiss(m)
 
 
 def test_bareiss_det_needs_row_swaps():
@@ -128,13 +133,37 @@ def test_bareiss_det_needs_row_swaps():
 
 
 @settings(max_examples=30, deadline=None)
-@given(transfer_matrices(6, 3), st.data())
+@given(transfer_matrices(16, 3), st.data())
 def test_vec_mat_power_equals_repeated_vec_mat(m, data):
-    v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=m.size, max_size=m.size)))
+    # exponents 0..40 take in p - 1, p, p + 1, 2p and 2p + 1 around the
+    # squaring cutoff at the matrix size p <= 16
+    p = m.size
+    assert {p - 1, p, p + 1, 2 * p, 2 * p + 1} <= set(range(41))
+    v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p)))
     step = v
     for e in range(41):
         assert vec_mat_power(v, m, e) == step
         step = vec_mat(step, m)
+
+
+def test_vec_mat_power_squares_only_while_the_exponent_exceeds_the_size(monkeypatch):
+    # 299 -> 149 -> 74 -> 37 -> 18 -> 9: five squarings up to M^32, then
+    # nine products with it, where binary powering would square up to M^256
+    squarings = []
+    mat_mul = polyalg._mat_mul
+
+    def counting_mat_mul(a, b):
+        squarings.append(len(a))
+        return mat_mul(a, b)
+
+    m = seq1d.adjacency(16, 1)
+    v = (1,) * 16
+    want = v
+    for _ in range(299):
+        want = vec_mat(want, m)
+    monkeypatch.setattr(polyalg, "_mat_mul", counting_mat_mul)
+    assert vec_mat_power(v, m, 299) == want
+    assert squarings == [16] * 5
 
 
 def test_vec_mat_and_mat_vec_are_transposes():
@@ -147,6 +176,21 @@ def test_vec_mat_and_mat_vec_are_transposes():
 def test_vec_mat_power_rejects_negative_exponent():
     with pytest.raises(InvalidParamsError):
         vec_mat_power((1,), TransferMatrix(1, ((2,),)), -1)
+
+
+@pytest.mark.parametrize("v", [(1, 1), (1, 1, 1, 1), ()], ids=["short", "long", "empty"])
+def test_vec_mat_power_rejects_a_vector_of_the_wrong_length(v):
+    with pytest.raises(InvalidParamsError):
+        vec_mat_power(v, seq1d.adjacency(3, 1), 2)
+
+
+@pytest.mark.parametrize(
+    "i,j", [(3, 0), (-1, 0), (0, 3), (0, -1)],
+    ids=["row-too-large", "row-negative", "column-too-large", "column-negative"],
+)
+def test_mat_power_entry_rejects_an_index_out_of_range(i, j):
+    with pytest.raises(InvalidParamsError):
+        mat_power_entry(seq1d.adjacency(3, 1), 4, i, j)
 
 
 @pytest.mark.parametrize("k,s", [(3, 1), (4, 2), (16, 5)])
@@ -397,7 +441,7 @@ def test_det_poly_cache_matches_a_fresh_recurrence():
         assert det_poly(m) is det_poly(TransferMatrix(k, m.entries))
 
 
-def test_algebra_queries_of_one_pair_run_faddeev_leverrier_once(capsys):
+def test_algebra_queries_of_one_pair_compute_det_poly_once(capsys):
     polyalg._det_poly.cache_clear()
     for argv in (
         ["gf", "--k", "9", "--s", "4"],
