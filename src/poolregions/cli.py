@@ -135,6 +135,7 @@ def _cmd_facets(args):
     if args.paper_literal:
         if args.hrep or args.oracle:
             raise InvalidParamsError("--paper-literal excludes --hrep and --oracle")
+        facets1d.check_params("printed description", args.n, args.k, args.s)
         fam = windows_1d(args.n, args.k, args.s)
         report = facets1d.printed_description_diff(
             args.n, args.k, args.s, oracle.enumerate_vertices(fam, budget=args.budget)

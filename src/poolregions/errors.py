@@ -42,7 +42,7 @@ class NonIntegerCoefficientError(PoolRegionsError):
 
 
 class NoPositiveRootError(PoolRegionsError):
-    """No sign change found below the positive-root bound."""
+    """The polynomial has no positive real root (Sturm count)."""
 
 
 class VerificationError(PoolRegionsError):

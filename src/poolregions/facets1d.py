@@ -67,7 +67,8 @@ def vertex_points(ambient: int, words) -> list[tuple[int, ...]]:
     return points
 
 
-def _check_params(what, n, k, s):
+def check_params(what, n, k, s):
+    """Raise InvalidParamsError unless k > s >= 1 and n >= 1."""
     if not (k > s >= 1 and n >= 1):
         raise InvalidParamsError(f"{what} needs k > s >= 1, n >= 1")
 
@@ -88,7 +89,7 @@ def h_representation(n: int, k: int, s: int) -> HRep:
     (r = 1..n-1), where consecutive windows meet in the single point a, do
     not support facets and are excluded from the x_a >= 0 family.
     """
-    _check_params("h-representation", n, k, s)
+    check_params("h-representation", n, k, s)
     K = s * (n - 1) + k
     equalities = (HRow((1,) * K, n, "=", "affine-span"),)
 
@@ -118,7 +119,7 @@ def printed_rows(n: int, k: int, s: int) -> tuple[HRow, ...]:
     Kept only for the diff report: several of these rows are violated by
     actual vertices.
     """
-    _check_params("printed description", n, k, s)
+    check_params("printed description", n, k, s)
     K = s * (n - 1) + k
     rows = [HRow((1,) * K, n, "=", "affine-span")]
     for r in range(n - 1):
@@ -139,12 +140,13 @@ def printed_description_diff(n: int, k: int, s: int, vertices) -> dict:
     `vertices` are oracle vertex words; each printed row is checked against
     every vertex point and its violations counted, with an example.
     """
+    printed = printed_rows(n, k, s)
     points = vertex_points(s * (n - 1) + k, vertices)
     derived = h_representation(n, k, s)
     derived_by_label = {row.label: row for row in derived.rows()}
 
     entries = []
-    for row in printed_rows(n, k, s):
+    for row in printed:
         bad = [p for p in points if not row.satisfied_by(p)]
         twin = derived_by_label.get(row.label)
         entries.append(

@@ -2,18 +2,20 @@
 transfer-matrix determinants, series extraction, and positive-root bracketing.
 
 Polynomials are tuples of Python ints in ascending degree with no trailing
-zero (the zero polynomial is the empty tuple).  Everything is exact and,
-except for root bracketing, stays in the integers: gcds by primitive
-pseudo-remainder sequences, exact division by integer long division,
-det(I - xM) by Berkowitz's division-free algorithm (about p^4/4
-multiplications for a p x p matrix, no matrix product), run once per
-distinct matrix per process (a bounded cache keyed by the entries).
+zero (the zero polynomial is the empty tuple).  Everything is exact and
+stays in the integers: gcds by primitive pseudo-remainder sequences, exact
+division by integer long division, det(I - xM) by Berkowitz's
+division-free algorithm (about p^4/4 multiplications for a p x p matrix,
+no matrix product), run once per distinct matrix per process (a bounded
+cache keyed by the entries).
 v . M^n squares M only while the exponent left exceeds p and finishes with
 at most p vector products, so the largest powers are never formed.  A
 single series coefficient comes from Bostan-Mori halving in O(log n)
 polynomial products; a prefix of coefficients from the denominator
-recurrence.  Root brackets have `Fraction` endpoints; floats appear only in
-the final root estimate.
+recurrence.  The least positive root is bracketed by bisection over dyadic
+points a/2^e held as the integers a, the sign of p there read from the
+integer 2^(e deg) p(a/2^e); `Fraction` appears only in the returned
+endpoints and floats only in the final root estimate.
 """
 
 from __future__ import annotations
@@ -410,21 +412,13 @@ def _sign(value) -> int:
     return (value > 0) - (value < 0)
 
 
-def root_upper_bound(p) -> Fraction:
-    """Cauchy bound: every real root has |x| <= 1 + max|a_i| / |lead|."""
-    lead = abs(p[-1])
-    biggest = max(abs(c) for c in p[:-1]) if len(p) > 1 else 0
-    return 1 + Fraction(biggest, lead)
-
-
-def _sign_at(p, x) -> int:
-    """Sign of p at a rational x = a/b (b > 0): the sign of b^deg * p(a/b)."""
-    a, b = x.numerator, x.denominator
+def _sign_at(p, a, e) -> int:
+    """Sign of p at the dyadic point a / 2^e: the sign of 2^(e deg) p(a / 2^e)."""
     acc = 0
-    scale = 1
+    shift = 0
     for c in reversed(p):
-        acc = acc * a + c * scale
-        scale *= b
+        acc = acc * a + (c << shift)
+        shift += e
     return _sign(acc)
 
 
@@ -456,74 +450,65 @@ def _sturm_chain(p):
     return chain
 
 
-def _variations(chain, x) -> int:
-    signs = [s for s in (_sign_at(t, x) for t in chain) if s]
+def _count_variations(signs) -> int:
+    signs = [t for t in signs if t]
     return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _variations(chain, a, e) -> int:
+    return _count_variations(_sign_at(t, a, e) for t in chain)
 
 
 def smallest_positive_root_bracket(p, tol=1e-12) -> tuple[Fraction, Fraction]:
     """Certified bracket (lo, hi] around the least positive root, hi-lo <= tol.
 
-    p(0) must be positive.  The Sturm sequence of p counts its distinct
-    roots in any interval (a, b] as V(a) - V(b), V being the number of sign
-    variations; a zero count on (0, bound] (the Cauchy bound) raises
-    NoPositiveRootError.  A 64-point grid scan on (0, 1], doubling the range
-    up to the bound, finds the first cell (lo, hi] with p(hi) <= 0.  When the
-    Sturm count proves that (0, lo] holds no root and the cell exactly one,
-    the cell is bisected on exact signs, so p(lo) > 0 >= p(hi).  Otherwise
-    (several roots in one cell, or only roots of even multiplicity) the
-    least root is isolated by bisecting on Sturm counts.  All signs are
-    exact at rational points, so the bracket never suffers rounding.
+    p(0) must be positive.  Every point is a dyadic a / 2^e, held as the
+    integer a, with e the least e >= 0 such that 2^-e <= tol; the sign of p
+    there is the sign of the integer 2^(e deg) p(a / 2^e).  The Sturm
+    sequence of p counts its distinct roots in any interval (a, b] as
+    V(a) - V(b), V being the number of sign variations; when V(+oo), read
+    from the leading coefficients, equals V(0), NoPositiveRootError is
+    raised.  hi starts at 1 and doubles until (0, hi] holds a root, Sturm
+    bisection narrows (lo, hi] until it holds exactly one distinct root with
+    p(hi) <= 0 (or is one unit wide), and bisection on the signs of p ends
+    it at one unit, so p(lo) > 0 >= p(hi) unless the least root has even
+    multiplicity.  The bracket is the aligned 2^-e cell that holds the
+    least root, exact and free of rounding; only the returned endpoints are
+    `Fraction`s.
     """
     p = poly(p)
     if not p or p[0] <= 0:
         raise InvalidParamsError("need p(0) > 0")
-    bound = root_upper_bound(p)
-    tol_f = Fraction(tol).limit_denominator(10**18)
+    if not tol > 0:
+        raise InvalidParamsError(f"root tolerance must be positive, got {tol!r}")
+    e = 0
+    while tol * (1 << e) < 1:
+        e += 1
     chain = _sturm_chain(p)
-    v0 = _variations(chain, 0)
-    if _variations(chain, bound) == v0:
-        raise NoPositiveRootError("Sturm count: no root in (0, root bound]")
+    v0 = _count_variations(_sign(t[0]) for t in chain)
+    if _count_variations(_sign(t[-1]) for t in chain) == v0:
+        raise NoPositiveRootError("Sturm count: no positive root")
 
-    hi = Fraction(1)
-    cell = None
-    while cell is None:
-        lo_pt = Fraction(0)
-        step = hi / 64
-        x = step
-        while x <= hi:
-            if _sign_at(p, x) <= 0:
-                cell = (lo_pt, x)
-                break
-            lo_pt = x
-            x += step
-        if cell is None:
-            if hi >= bound:
-                break
-            hi *= 2
-
-    lo = Fraction(0)
-    if cell is not None:
-        lo, hi = cell
-        v_lo = _variations(chain, lo)
-        if v_lo != v0:
-            lo = Fraction(0)
-        elif v_lo - _variations(chain, hi) == 1:
-            while hi - lo > tol_f:
-                mid = (lo + hi) / 2
-                if _sign_at(p, mid) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            return lo, hi
-    # no root in (0, lo], at least one in (lo, hi]
-    while hi - lo > tol_f:
-        mid = (lo + hi) / 2
-        if _variations(chain, mid) < v0:
+    # invariant: no root in (0, lo], at least one in (lo, hi]
+    lo, hi = 0, 1 << e
+    v_hi = _variations(chain, hi, e)
+    while v_hi == v0:
+        lo, hi = hi, hi << 1
+        v_hi = _variations(chain, hi, e)
+    while hi - lo > 1 and (v0 - v_hi > 1 or _sign_at(p, hi, e) > 0):
+        mid = (lo + hi) >> 1
+        v_mid = _variations(chain, mid, e)
+        if v_mid < v0:
+            hi, v_hi = mid, v_mid
+        else:
+            lo = mid
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if _sign_at(p, mid, e) <= 0:
             hi = mid
         else:
             lo = mid
-    return lo, hi
+    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
 
 
 def smallest_positive_root(p, tol=1e-12) -> float:

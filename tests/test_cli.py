@@ -154,6 +154,15 @@ def test_facets_paper_literal(capsys):
     assert payload["result"]["rows_violated"] > 0
 
 
+def test_facets_paper_literal_checks_params_before_the_oracle_walk(capsys):
+    # k <= s has no printed description; the walk of 3^20 words would
+    # exceed the budget (exit 3) if it ran first
+    code, payload = run_json(capsys, "facets", "--k", "3", "--s", "3", "--n", "20", "--paper-literal")
+    assert code == 2
+    assert payload["error"] == "InvalidParamsError"
+    assert payload["detail"].startswith("printed description")
+
+
 def test_growth(capsys):
     code, payload = run_json(capsys, "growth", "--k", "3", "--s", "1")
     assert code == 0

@@ -478,6 +478,27 @@ def test_root_bracket_certificate():
         assert poly_eval(p, lo) > 0 >= poly_eval(p, hi)
 
 
+def test_package_brackets_are_aligned_dyadic_cells():
+    # the denominators behind `growth` and `growth --grid3xn`: each bracket is
+    # the 2^-40 cell a/2^40 < x <= (a+1)/2^40 that holds the least root
+    dens = [det_poly(seq1d.adjacency(k, s)) for k in range(2, 17) for s in range(1, k)]
+    dens.append(seq2d.gf_2d().den)
+    assert len(dens) == 121
+    for p in dens:
+        lo, hi = smallest_positive_root_bracket(p, 1e-12)
+        assert hi - lo == Fraction(1, 2**40)
+        assert (hi * 2**40).denominator == 1
+        assert poly_eval(p, lo) > 0 >= poly_eval(p, hi)
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, -1e-9, float("nan")])
+def test_root_bracket_rejects_bad_tolerance(tol):
+    with pytest.raises(InvalidParamsError):
+        smallest_positive_root_bracket((1, -2), tol)
+    with pytest.raises(InvalidParamsError):
+        seq1d.growth_1d(3, 1, tol=tol)
+
+
 def test_root_signs_straddle_returned_value():
     # exact signs at r -+ tol differ for the returned float r
     tol = 1e-12
@@ -508,9 +529,9 @@ def test_no_positive_root():
         smallest_positive_root((-1, 2), 1e-9)
 
 
-def test_two_roots_in_one_grid_cell():
-    # roots 0.3, 0.3001, 0.9: the first two share a cell of the 64-point
-    # grid, so the first sign change there is at 0.9
+def test_two_close_roots_and_a_far_one():
+    # roots 0.3, 0.3001, 0.9: p changes sign three times, and the Sturm
+    # count must separate the first two before the sign bisection
     p = (81027, -630120, 1500100, -1000000)
     assert abs(smallest_positive_root(p) - 0.3) < 1e-12
     lo, hi = smallest_positive_root_bracket(p)
@@ -551,7 +572,9 @@ def test_root_bracket_holds_least_positive_root(linear, quadratic):
         return
     lo, hi = smallest_positive_root_bracket(p, 1e-9)
     assert lo < min(positive) <= hi
-    assert hi - lo <= Fraction(1, 10**9)
+    # the aligned 2^-30 cell (a/2^30, (a+1)/2^30] that holds the least root
+    unit = Fraction(1, 2**30)
+    assert hi == -(-min(positive) // unit) * unit and hi - lo == unit
 
 
 def test_mat_power_entry():
