@@ -173,6 +173,10 @@ def _cmd_growth(args):
     value = seq1d.growth_1d(args.k, args.s)
     provenance = ["matrix-root"]
     if args.large_strides:
+        if not seq1d.large_strides_regime(args.k, args.s):
+            raise RegimeNotCoveredError(
+                f"the closed growth holds only for ceil(k/2) <= s <= k-2, got (k={args.k}, s={args.s})"
+            )
         closed = seq1d.growth_large_strides(args.k, args.s)
         provenance.append("closed-form")
         verify.agreed_value("growth", {"matrix-root": value, "closed-form": closed}, tol=1e-9)

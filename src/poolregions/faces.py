@@ -18,28 +18,28 @@ the class of a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidSelectionError, NotAFaceError
 from .model import WindowFamily
 
 
-@dataclass(frozen=True)
-class FaceSelection:
-    """One chosen vertex set per window of a family."""
+class FaceSelection(namedtuple("FaceSelection", "family chosen")):
+    """One chosen vertex set per window of a family (`chosen`: a tuple of
+    frozensets, one per window of the WindowFamily `family`)."""
 
-    family: WindowFamily
-    chosen: tuple[frozenset[int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "chosen", tuple(frozenset(c) for c in self.chosen))
-        if len(self.chosen) != len(self.family.windows):
+    def __new__(cls, family: WindowFamily, chosen):
+        chosen = tuple(frozenset(c) for c in chosen)
+        if len(chosen) != len(family.windows):
             raise InvalidSelectionError("need one chosen set per window")
-        for c, w in zip(self.chosen, self.family.windows):
+        for c, w in zip(chosen, family.windows):
             if not c:
                 raise InvalidSelectionError("chosen sets must be nonempty")
             if not c <= w:
                 raise InvalidSelectionError("chosen set not contained in its window")
+        return super().__new__(cls, family, chosen)
 
 
 def selection_from_word(family: WindowFamily, word) -> FaceSelection:
@@ -52,31 +52,26 @@ def full_selection(family: WindowFamily) -> FaceSelection:
     return FaceSelection(family, family.windows)
 
 
-@dataclass(frozen=True)
-class SelectionGraph:
+class SelectionGraph(namedtuple("SelectionGraph", "classes edges acyclic")):
     """Class partition plus directed class graph of a selection.
 
-    `classes` are sorted by minimum element; `edges` are ordered pairs of
-    class indices (loops permitted).
+    `classes` (a tuple of frozensets) are sorted by minimum element; `edges`
+    is a frozenset of ordered pairs of class indices (loops permitted);
+    `acyclic` tells whether the graph has no directed cycle.
     """
 
-    classes: tuple[frozenset[int], ...]
-    edges: frozenset[tuple[int, int]]
-    acyclic: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConeDescription:
+class ConeDescription(namedtuple("ConeDescription", "ambient equalities inequalities")):
     """Normal cone of a face, modulo the all-ones direction.
 
     Pairs (a, b) in `equalities` mean x_a = x_b; in `inequalities` they mean
     x_a <= x_b.  Representatives are minimum class elements, one relation per
-    class pair.
+    class pair; `ambient` is the number of coordinates.
     """
 
-    ambient: int
-    equalities: tuple[tuple[int, int], ...]
-    inequalities: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def _union_find_classes(d, chosen):

@@ -9,19 +9,15 @@ of suffix unions, and single coordinates (x_a >= 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidParamsError
 
 
-@dataclass(frozen=True)
-class HRow:
-    """One linear condition: coeffs . x  (sense)  rhs."""
+class HRow(namedtuple("HRow", "coeffs rhs sense label")):
+    """One linear condition: coeffs . x  (sense)  rhs, sense "<=", ">=" or "="."""
 
-    coeffs: tuple[int, ...]
-    rhs: int
-    sense: str  # "<=", ">=", "="
-    label: str
+    __slots__ = ()
 
     def satisfied_by(self, point) -> bool:
         v = sum(c * x for c, x in zip(self.coeffs, point))
@@ -35,13 +31,10 @@ class HRow:
         return sum(c * x for c, x in zip(self.coeffs, point)) == self.rhs
 
 
-@dataclass(frozen=True)
-class HRep:
-    """One affine-span equality plus one inequality per facet."""
+class HRep(namedtuple("HRep", "ambient equalities inequalities")):
+    """One affine-span equality plus one inequality per facet (tuples of HRow)."""
 
-    ambient: int
-    equalities: tuple[HRow, ...]
-    inequalities: tuple[HRow, ...]
+    __slots__ = ()
 
     def rows(self) -> tuple[HRow, ...]:
         return self.equalities + self.inequalities

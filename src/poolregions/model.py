@@ -9,65 +9,61 @@ sum of simplices) works purely on these index subsets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidParamsError
 
 
-@dataclass(frozen=True)
-class PoolingLayer:
+class PoolingLayer(namedtuple("PoolingLayer", "nu input_dims window_dims stride")):
     """A max-pooling layer: input extents, window extents, shared stride.
 
-    `input_dims` and `window_dims` list one extent per array axis
+    `input_dims` and `window_dims` are tuples of one extent per array axis
     (K_1..K_nu and k_1..k_nu); `stride` is a single scalar shared by all
     axes.
     """
 
-    nu: int
-    input_dims: tuple[int, ...]
-    window_dims: tuple[int, ...]
-    stride: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "input_dims", tuple(self.input_dims))
-        object.__setattr__(self, "window_dims", tuple(self.window_dims))
-        if self.nu < 1:
+    def __new__(cls, nu: int, input_dims, window_dims, stride: int):
+        input_dims, window_dims = tuple(input_dims), tuple(window_dims)
+        if nu < 1:
             raise InvalidParamsError("nu must be a positive integer")
-        if len(self.input_dims) != self.nu or len(self.window_dims) != self.nu:
+        if len(input_dims) != nu or len(window_dims) != nu:
             raise InvalidParamsError("need exactly nu input and window extents")
-        if self.stride < 1:
+        if stride < 1:
             raise InvalidParamsError("stride must be >= 1")
-        for K, k in zip(self.input_dims, self.window_dims):
+        for K, k in zip(input_dims, window_dims):
             if k < 1 or K < 1:
                 raise InvalidParamsError("all extents must be >= 1")
             if k > K:
                 raise InvalidParamsError("window extent exceeds input extent")
+        return super().__new__(cls, nu, input_dims, window_dims, stride)
 
 
-@dataclass(frozen=True)
-class WindowFamily:
+class WindowFamily(namedtuple("WindowFamily", "ambient_size windows")):
     """An ordered family of nonempty windows over coordinates {0,...,d-1}.
 
-    `ambient_size` is d.  Families produced from a PoolingLayer are trimmed:
-    coordinates used by no window are dropped and the rest relabeled, so the
-    windows cover {0,...,d-1} exactly.  Families built directly (spec_1d with
-    k < s) may leave gaps; `covers_ambient` tells the two apart.
+    `ambient_size` is d; `windows` is a tuple of frozensets.  Families
+    produced from a PoolingLayer are trimmed: coordinates used by no window
+    are dropped and the rest relabeled, so the windows cover {0,...,d-1}
+    exactly.  Families built directly (spec_1d with k < s) may leave gaps;
+    `covers_ambient` tells the two apart.
     """
 
-    ambient_size: int
-    windows: tuple[frozenset[int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "windows", tuple(frozenset(w) for w in self.windows))
-        if self.ambient_size < 1:
+    def __new__(cls, ambient_size: int, windows):
+        windows = tuple(frozenset(w) for w in windows)
+        if ambient_size < 1:
             raise InvalidParamsError("ambient size must be >= 1")
-        if not self.windows:
+        if not windows:
             raise InvalidParamsError("need at least one window")
-        for w in self.windows:
+        for w in windows:
             if not w:
                 raise InvalidParamsError("windows must be nonempty")
-            if min(w) < 0 or max(w) >= self.ambient_size:
+            if min(w) < 0 or max(w) >= ambient_size:
                 raise InvalidParamsError("window coordinate out of range")
+        return super().__new__(cls, ambient_size, windows)
 
     @property
     def covers_ambient(self) -> bool:

@@ -24,7 +24,7 @@ words.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BudgetExceededError, InvalidParamsError, TieDetectedError
 from .faces import is_face, selection_from_word
@@ -33,12 +33,10 @@ from .model import WindowFamily
 DEFAULT_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class FVector:
-    """Face counts by dimension; `polytope_dim` is the top nonzero dimension."""
+class FVector(namedtuple("FVector", "counts polytope_dim")):
+    """Face counts by dimension (a dict); `polytope_dim` is the top nonzero dimension."""
 
-    counts: dict[int, int]
-    polytope_dim: int
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(self.counts.values())

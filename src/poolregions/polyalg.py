@@ -14,14 +14,15 @@ single series coefficient comes from Bostan-Mori halving in O(log n)
 polynomial products; a prefix of coefficients from the denominator
 recurrence.  The least positive root is bracketed by bisection over dyadic
 points a/2^e held as the integers a, the sign of p there read from the
-integer 2^(e deg) p(a/2^e); `Fraction` appears only in the returned
-endpoints and floats only in the final root estimate.
+integer 2^(e deg) p(a/2^e).  The root estimate is the one float, a
+correctly rounded integer division; only `smallest_positive_root_bracket`
+imports `fractions`, for its returned endpoints.  `RationalGF` and
+`TransferMatrix` are immutable named tuples, like every package record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 from operator import mul
@@ -135,8 +136,7 @@ def poly_divexact(a, b):
     return poly(q)
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(namedtuple("RationalGF", "num den")):
     """A reduced ratio of integer polynomials.
 
     Canonical form: num and den share no polynomial factor over Q and no
@@ -145,8 +145,7 @@ class RationalGF:
     (cross-multiplication), never by representation.
     """
 
-    num: IntPoly
-    den: IntPoly
+    __slots__ = ()
 
 
 def rational_gf(num, den) -> RationalGF:
@@ -179,22 +178,21 @@ def one_plus_x_times(gf: RationalGF) -> RationalGF:
     return rational_gf(poly_add(gf.den, poly_mul((0, 1), gf.num)), gf.den)
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(namedtuple("TransferMatrix", "size entries")):
     """Square matrix of nonnegative integers (walk-counting adjacency)."""
 
-    size: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
-        if self.size < 1 or len(self.entries) != self.size:
+    def __new__(cls, size: int, entries):
+        entries = tuple(tuple(row) for row in entries)
+        if size < 1 or len(entries) != size:
             raise InvalidParamsError("matrix must be square and nonempty")
-        for row in self.entries:
-            if len(row) != self.size:
+        for row in entries:
+            if len(row) != size:
                 raise InvalidParamsError("matrix must be square")
             if any(x < 0 for x in row):
                 raise InvalidParamsError("entries must be nonnegative")
+        return super().__new__(cls, size, entries)
 
 
 def mat_vec(m: TransferMatrix, v):
@@ -462,6 +460,17 @@ def _variations(chain, a, e) -> int:
 def smallest_positive_root_bracket(p, tol=1e-12) -> tuple[Fraction, Fraction]:
     """Certified bracket (lo, hi] around the least positive root, hi-lo <= tol.
 
+    The endpoints are the `Fraction`s of the dyadic cell `_root_cell` finds.
+    """
+    from fractions import Fraction
+
+    lo, hi, e = _root_cell(p, tol)
+    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
+
+
+def _root_cell(p, tol):
+    """(lo, hi, e): the bracket (lo / 2^e, hi / 2^e] of the least positive root.
+
     p(0) must be positive.  Every point is a dyadic a / 2^e, held as the
     integer a, with e the least e >= 0 such that 2^-e <= tol; the sign of p
     there is the sign of the integer 2^(e deg) p(a / 2^e).  The Sturm
@@ -473,8 +482,7 @@ def smallest_positive_root_bracket(p, tol=1e-12) -> tuple[Fraction, Fraction]:
     p(hi) <= 0 (or is one unit wide), and bisection on the signs of p ends
     it at one unit, so p(lo) > 0 >= p(hi) unless the least root has even
     multiplicity.  The bracket is the aligned 2^-e cell that holds the
-    least root, exact and free of rounding; only the returned endpoints are
-    `Fraction`s.
+    least root, exact and free of rounding.
     """
     p = poly(p)
     if not p or p[0] <= 0:
@@ -508,10 +516,11 @@ def smallest_positive_root_bracket(p, tol=1e-12) -> tuple[Fraction, Fraction]:
             hi = mid
         else:
             lo = mid
-    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
+    return lo, hi, e
 
 
 def smallest_positive_root(p, tol=1e-12) -> float:
-    """Least positive real root of p, to within +-tol."""
-    lo, hi = smallest_positive_root_bracket(p, tol)
-    return float((lo + hi) / 2)
+    """Least positive real root of p, to within +-tol: the midpoint of the
+    bracket, (lo + hi) / 2^(e+1) by correctly rounded integer division."""
+    lo, hi, e = _root_cell(p, tol)
+    return (lo + hi) / (1 << (e + 1))

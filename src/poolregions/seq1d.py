@@ -12,7 +12,7 @@ rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import oracle
 from .errors import (
@@ -79,16 +79,19 @@ def gf_1d(k: int, s: int) -> RationalGF:
     return gf_from_matrix(m, ones, ones)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
-    """A closed generating function G(x) = 1 + sum_{n>=1} b_n x^n.
+class ClosedForm(namedtuple("ClosedForm", "gf regimes")):
+    """A closed generating function G(x) = 1 + sum_{n>=1} b_n x^n (a RationalGF).
 
     `regimes` names every closed form that applied ("large-strides",
     "proportional"); when both apply they are cross-checked for equality.
     """
 
-    gf: RationalGF
-    regimes: tuple[str, ...]
+    __slots__ = ()
+
+
+def large_strides_regime(k: int, s: int) -> bool:
+    """Whether the large-strides closed forms hold: ceil(k/2) <= s <= k-2."""
+    return math.ceil(k / 2) <= s <= k - 2
 
 
 def _gf_large_strides(k, s):
@@ -124,7 +127,7 @@ def gf_closed(k: int, s: int) -> ClosedForm:
         raise InvalidParamsError("need k > s >= 1")
     regimes = []
     gfs = []
-    if math.ceil(k / 2) <= s <= k - 2:
+    if large_strides_regime(k, s):
         regimes.append("large-strides")
         gfs.append(_gf_large_strides(k, s))
     if k % s == 0 and k // s >= 2:

@@ -22,7 +22,7 @@ they hold for every n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import oracle, seq1d
 from .errors import InvalidParamsError
@@ -143,16 +143,14 @@ def count_2xn(n: int) -> int:
     return seq1d.count_1d(n - 1, 4, 2, method="matrix")
 
 
-@dataclass(frozen=True)
-class ClassCounts:
+class ClassCounts(namedtuple("ClassCounts", "n counts")):
     """Vertex counts of the width-n polytope keyed by rightmost column pair.
 
     counts[i] is the number of vertices whose last two windows choose the
     i-th canonical two-window vertex (0-indexed against Q2_VERTEX_PAIRS).
     """
 
-    n: int
-    counts: tuple[int, ...]
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(self.counts)

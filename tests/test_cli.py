@@ -252,6 +252,12 @@ def test_results_beyond_int_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+LARGE_STRIDES_UNCOVERED = [
+    ("growth", "--k", "5", "--s", "2", "--large-strides"),
+    ("growth", "--k", "3", "--s", "1", "--large-strides"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("regions", "--k", "3", "--s", "1", "--n", "2", "--sample", "0"),
     ("--budget", "0", "total-faces", "--k", "3", "--s", "1", "--n", "2"),
@@ -265,11 +271,14 @@ def test_results_beyond_int_digit_limit(capsys):
     ("fvector", "--grid3xn", "2", "--k", "3"),
     ("total-faces", "--grid3xn", "2", "--s", "1"),
     ("regions", "--grid3xn", "2", "--n", "2", "--sample", "10"),
+    # the closed growth holds only from s = ceil(k/2), as `gf --closed`
+    *LARGE_STRIDES_UNCOVERED,
 ])
 def test_invalid_input_exit_code(capsys, argv):
     code, payload = run_json(capsys, *argv)
     assert code == 2
-    assert payload["error"] == "InvalidParamsError"
+    expected = "RegimeNotCoveredError" if argv in LARGE_STRIDES_UNCOVERED else "InvalidParamsError"
+    assert payload["error"] == expected
 
 
 def test_tables_mismatch_is_verification_failure(capsys, monkeypatch):
@@ -332,3 +341,22 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert built == [1]
     # the public builder still hands out a fresh parser
     assert build_parser() is not build_parser()
+
+
+def loaded_modules(code):
+    src = os.path.dirname(os.path.dirname(poolregions.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = f"import sys\n{code}\nprint(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split("\n")[-2].split())
+
+
+def test_cold_start_imports_neither_dataclasses_nor_fractions():
+    bare = loaded_modules("pass")
+    growth = loaded_modules(
+        "from poolregions import cli\ncli.build_parser()\n"
+        "cli.main(['growth', '--k', '3', '--s', '1'])"
+    )
+    assert "poolregions.cli" in growth
+    assert {"dataclasses", "fractions"} & (growth - bare) == set()

@@ -478,17 +478,28 @@ def test_root_bracket_certificate():
         assert poly_eval(p, lo) > 0 >= poly_eval(p, hi)
 
 
-def test_package_brackets_are_aligned_dyadic_cells():
-    # the denominators behind `growth` and `growth --grid3xn`: each bracket is
-    # the 2^-40 cell a/2^40 < x <= (a+1)/2^40 that holds the least root
+def package_denominators():
+    """The denominators behind `growth` (k <= 16) and `growth --grid3xn`."""
     dens = [det_poly(seq1d.adjacency(k, s)) for k in range(2, 17) for s in range(1, k)]
     dens.append(seq2d.gf_2d().den)
     assert len(dens) == 121
-    for p in dens:
+    return dens
+
+
+def test_package_brackets_are_aligned_dyadic_cells():
+    # each bracket is the 2^-40 cell a/2^40 < x <= (a+1)/2^40 that holds the
+    # least root
+    for p in package_denominators():
         lo, hi = smallest_positive_root_bracket(p, 1e-12)
         assert hi - lo == Fraction(1, 2**40)
         assert (hi * 2**40).denominator == 1
         assert poly_eval(p, lo) > 0 >= poly_eval(p, hi)
+
+
+def test_root_is_the_rounded_bracket_midpoint():
+    for p in package_denominators():
+        lo, hi = smallest_positive_root_bracket(p)
+        assert smallest_positive_root(p) == float((lo + hi) / 2)
 
 
 @pytest.mark.parametrize("tol", [0, 0.0, -1e-9, float("nan")])

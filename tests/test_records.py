@@ -1,0 +1,78 @@
+"""The package records: immutable named tuples that keep their validation."""
+
+import pytest
+
+from poolregions import frontier, seq2d
+from poolregions.errors import InvalidParamsError, InvalidSelectionError
+from poolregions.faces import FaceSelection, build_selection_graph, normal_cone, selection_from_word
+from poolregions.facets1d import h_representation
+from poolregions.model import PoolingLayer, WindowFamily, windows_1d
+from poolregions.polyalg import TransferMatrix, rational_gf
+from poolregions.seq1d import adjacency, gf_closed
+
+FAMILY = windows_1d(2, 3, 1)
+VERTEX = selection_from_word(FAMILY, (0, 1))
+HREP = h_representation(2, 3, 1)
+
+RECORDS = {
+    "FaceSelection": VERTEX,
+    "SelectionGraph": build_selection_graph(VERTEX),
+    "ConeDescription": normal_cone(VERTEX),
+    "HRow": HREP.inequalities[0],
+    "HRep": HREP,
+    "PoolingLayer": PoolingLayer(2, (3, 3), (2, 2), 1),
+    "WindowFamily": FAMILY,
+    "FVector": frontier.fvector(FAMILY),
+    "RationalGF": rational_gf((1,), (1, -2)),
+    "TransferMatrix": adjacency(3, 1),
+    "ClosedForm": gf_closed(4, 2),
+    "ClassCounts": seq2d.ClassCounts(2, (1,) * 14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_is_immutable(name):
+    rec = RECORDS[name]
+    assert type(rec).__name__ == name
+    for field in (*rec._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+    assert rec == tuple(rec)
+    assert repr(rec).startswith(f"{name}({rec._fields[0]}=")
+
+
+# each validated record, built from lists and from the normalised tuples
+VALIDATED = [
+    (lambda: FaceSelection(FAMILY, [[0, 1], [3]]),
+     lambda: FaceSelection(FAMILY, (frozenset({0, 1}), frozenset({3})))),
+    (lambda: PoolingLayer(2, [3, 4], [2, 2], 1), lambda: PoolingLayer(2, (3, 4), (2, 2), 1)),
+    (lambda: WindowFamily(3, [[0, 1], [1, 2]]),
+     lambda: WindowFamily(3, (frozenset({0, 1}), frozenset({1, 2})))),
+    (lambda: TransferMatrix(2, [[1, 0], [2, 1]]), lambda: TransferMatrix(2, ((1, 0), (2, 1)))),
+]
+
+
+@pytest.mark.parametrize("from_lists, from_tuples", VALIDATED)
+def test_validated_record_normalises_inputs(from_lists, from_tuples):
+    a, b = from_lists(), from_tuples()
+    assert a == b and hash(a) == hash(b)
+    for x, y in zip(a, b):
+        assert type(x) is type(y)
+        if isinstance(y, tuple):
+            assert [type(t) for t in x] == [type(t) for t in y]
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: FaceSelection(FAMILY, [[0]]), InvalidSelectionError),
+    (lambda: FaceSelection(FAMILY, [[0], []]), InvalidSelectionError),
+    (lambda: FaceSelection(FAMILY, [[0], [0]]), InvalidSelectionError),
+    (lambda: PoolingLayer(1, [3], [2, 2], 1), InvalidParamsError),
+    (lambda: WindowFamily(3, [[0, 3]]), InvalidParamsError),
+    (lambda: TransferMatrix(0, []), InvalidParamsError),
+    (lambda: TransferMatrix(2, [[1, 0]]), InvalidParamsError),
+    (lambda: TransferMatrix(2, [[1, 0], [1]]), InvalidParamsError),
+    (lambda: TransferMatrix(2, [[1, 0], [-1, 1]]), InvalidParamsError),
+])
+def test_validated_record_rejects_bad_input(build, error):
+    with pytest.raises(error):
+        build()
