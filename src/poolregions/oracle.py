@@ -5,11 +5,10 @@ acyclicity criterion; by uniqueness of the decomposition of a face into
 summand faces, each acyclic list is exactly one nonempty face, so tallying
 needs no deduplication.
 
-The enumeration walks the choice tree depth-first and prunes any prefix whose
-class graph is already cyclic: extending a selection only merges classes and
-adds edges, which maps an existing cycle onto a closed walk, so every
-extension of a cyclic prefix is cyclic.  The pruned walk therefore visits
-every acyclic list exactly once while skipping the (vast) cyclic bulk.
+Both walks go depth-first and generate only the valid children of a node,
+so they visit exactly the acyclic prefixes: extending a selection only
+merges classes and adds edges, which maps a cycle onto a closed walk, so no
+extension of a cyclic prefix is acyclic.
 
 The vertex walk needs one reachability sweep per node.  A vertex picks one
 coordinate per window, so its graph is the coordinate graph itself, and
@@ -19,6 +18,25 @@ reaches a.  One sweep from the successors of all of w gives R+(w), the set w
 reaches along at least one edge, and the valid choices are w minus R+(w).
 `count_vertices` runs the walk of `enumerate_vertices` without building the
 words.
+
+The face walk needs one sweep per node too.  Group the coordinates of w by
+their class in the acyclic prefix graph, and let R+(w) be the classes
+reached from these groups along at least one edge.  Choosing C in w merges
+the classes that C meets into one class u and adds edges from u to the
+rest of w.  The result is acyclic exactly when C is a union of whole
+groups, none of them in R+(w).  A group split by C gives u an edge to
+itself.  A chosen class in R+(w) is reached from a class of w that is
+either chosen too, so the path closes on u, or holds an unchosen
+coordinate, which u now points to.  Conversely, the edges that avoid u are
+old, so a new cycle runs through u and contains a path of at least one old
+edge from a class of w (a chosen one, or that of an unchosen coordinate)
+to a chosen class, which then lies in R+(w).  The first class of w in a
+topological order is reached from no class of w, so the number g of free
+groups is at least 1, and a node has exactly 2^g - 1 children, none
+rejected.  Merging j groups turns c classes into c - j + 1, so the last
+window adds C(g, j) faces of dimension d - (c - j + 1) for j = 1..g
+without visiting its leaves, as `count_vertices` adds the size of w minus
+R+(w).
 """
 
 from __future__ import annotations
@@ -124,113 +142,81 @@ def count_vertices(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> int:
 def enumerate_faces(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVector:
     """Tally all nonempty faces by dimension (dimension = d - class count).
 
-    DFS over all per-window nonempty chosen sets, pruning cyclic prefixes;
-    each acyclic complete list is one face.
-
-    State per node: a rollback union-find over coordinates, plus one
-    out-edge bitmask per class root, kept in coordinate space (targets are
-    resolved to their current root only when traversed).  Because every
-    prefix on the stack is acyclic, a new cycle after choosing a window can
-    only run through the class `u` absorbing that window's chosen set:
-    collapsing classes into `u` and adding out-edges at `u` leaves every
-    u-avoiding edge of the quotient graph untouched.  So the acyclicity test
-    is a single reachability walk from u's successors back to u.
+    DFS over the windows that makes only valid children (module
+    docstring).  A node is an acyclic prefix, kept as classes of coordinates:
+    `rep` maps a coordinate to its class representative, and `members` and
+    `out` give each class's coordinates and edge targets as bitmasks.  At
+    window w, one sweep gives R+(w), the classes reached from w's classes
+    along at least one edge.  Choosing C in w is valid exactly when C is a
+    nonempty union of the g groups of w whose class is not in R+(w):
+    - a group split by C gives the merged class u an edge to itself;
+    - a chosen class in R+(w) is reached from a chosen class (the path
+      closes on u) or from the class of an unchosen coordinate (which u
+      now points to);
+    - otherwise a new cycle runs through u and holds a path of at least one
+      old edge from a class of w to a chosen class, which would be in R+(w).
+    The first class of w in a topological order is reached from no class
+    of w, so g >= 1, and a node has exactly 2^g - 1 children.  Merging j
+    groups leaves c - j + 1 of the c classes, so at the last window the
+    leaves are tallied, not visited: C(g, j) faces of dimension
+    d - (c - j + 1) for j = 1..g.
     """
     windows = family.windows
     _check_budget(windows, lambda w: (1 << len(w)) - 1, budget)
     d = family.ambient_size
-    n = len(windows)
+    last = len(windows) - 1
+    window_mask = [sum(1 << a for a in w) for w in windows]
+    rep = list(range(d))
+    members = [1 << a for a in range(d)]
+    out = [0] * d
     counts = [0] * (d + 1)
 
-    # choices per window: (chosen elements, rest bitmask) over all nonempty
-    # subsets, in increasing submask order
-    choices = []
-    for w in map(sorted, windows):
-        m = len(w)
-        opts = []
-        for mask in range(1, 1 << m):
-            chosen = tuple(w[t] for t in range(m) if mask >> t & 1)
-            restmask = sum(1 << w[t] for t in range(m) if not mask >> t & 1)
-            opts.append((chosen, restmask))
-        choices.append(opts)
+    def relabel(mask, r):
+        while mask:
+            low = mask & -mask
+            rep[low.bit_length() - 1] = r
+            mask ^= low
 
-    parent = list(range(d))
-    size = [1] * d
-    outmask = [0] * d  # per root: coordinate-space bitmask of edge targets
-    trail: list[tuple[int, int]] = []  # (absorbed root, prior outmask of survivor)
-    classes = [d]  # boxed so walk() can mutate
-
-    def find(a):
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
-    def merge_set(elems):
-        marker = len(trail)
-        it = iter(elems)
-        r0 = find(next(it))
-        for b in it:
-            rb = find(b)
-            if rb != r0:
-                if size[rb] > size[r0]:
-                    r0, rb = rb, r0
-                parent[rb] = r0
-                size[r0] += size[rb]
-                trail.append((rb, outmask[r0]))
-                outmask[r0] |= outmask[rb]
-                classes[0] -= 1
-        return marker, r0
-
-    def rollback(marker):
-        while len(trail) > marker:
-            rb, prior = trail.pop()
-            r0 = parent[rb]
-            parent[rb] = rb
-            size[r0] -= size[rb]
-            outmask[r0] = prior
-            classes[0] += 1
-
-    def cycles_through(u):
-        # walk root-space successors starting from u's own out-edges
-        ubit = 1 << u
-        seen = 0
-        coords = outmask[u]
-        work = 0  # roots whose out-edges still need expanding
-        while True:
-            while coords:
-                low = coords & -coords
-                coords ^= low
-                b = low.bit_length() - 1
-                r = parent[b]
-                if r != b:
-                    r = find(r)
-                rbit = 1 << r
-                if rbit == ubit:
-                    return True
-                if not seen & rbit:
-                    seen |= rbit
-                    work |= rbit
-            if not work:
-                return False
-            low = work & -work
-            work ^= low
-            coords = outmask[low.bit_length() - 1]
-
-    def walk(level):
-        if level == n:
-            counts[d - classes[0]] += 1
+    def walk(level, classes):
+        wmask = window_mask[level]
+        frontier = 0
+        for a in windows[level]:
+            frontier |= out[rep[a]]
+        reached = 0
+        while frontier:
+            r = rep[(frontier & -frontier).bit_length() - 1]
+            reached |= members[r]
+            frontier = (frontier | out[r]) & ~reached
+        groups = []
+        free = wmask & ~reached
+        while free:
+            r = rep[(free & -free).bit_length() - 1]
+            groups.append(r)
+            free &= ~members[r]
+        g = len(groups)
+        if level == last:
+            ways = 1
+            for j in range(1, g + 1):
+                ways = ways * (g - j + 1) // j
+                counts[d - classes + j - 1] += ways
             return
-        nxt = level + 1
-        for chosen, restmask in choices[level]:
-            marker, u = merge_set(chosen)
-            saved_out = outmask[u]
-            outmask[u] = saved_out | restmask
-            if not cycles_through(u):
-                walk(nxt)
-            outmask[u] = saved_out
-            rollback(marker)
+        for pick in range(1, 1 << g):
+            chosen = [r for t, r in enumerate(groups) if pick >> t & 1]
+            u = chosen[0]
+            saved = members[u], out[u]
+            joined, edges = saved
+            for r in chosen[1:]:
+                joined |= members[r]
+                edges |= out[r]
+            relabel(joined ^ saved[0], u)
+            members[u] = joined
+            out[u] = edges | (wmask & ~joined)
+            walk(level + 1, classes - len(chosen) + 1)
+            members[u], out[u] = saved
+            for r in chosen[1:]:
+                relabel(members[r], r)
 
-    walk(0)
+    walk(0, d)
     top = max(dim for dim, c in enumerate(counts) if c)
     return FVector(counts={dim: c for dim, c in enumerate(counts) if c}, polytope_dim=top)
 

@@ -2,9 +2,9 @@
 
 Each criterion runs one `poolregions.verify` check at the full level, so the
 checks are defined once, in `verify.CHECKS`.  Run with
-`pytest -s tests/test_acceptance.py` to see the per-criterion lines.  The two
-long-running oracle legs that `verify` does not run (the 3x5 full face
-enumeration and the n = 5 table columns) carry the `full` marker:
+`pytest -s tests/test_acceptance.py` to see the per-criterion lines.  Two
+oracle legs are not `verify` checks: the n = 5 table columns, and the 3x5
+full face enumeration, which carries the `full` marker:
 `pytest -m full tests/test_acceptance.py -s`.
 """
 
@@ -87,7 +87,6 @@ def test_criterion_6_golden_tables():
     run_criterion(6)
 
 
-@pytest.mark.full
 def test_criterion_6_golden_tables_n5():
     with criterion(6, "edge and total-face tables (n = 5 columns)"):
         for k in (3, 4, 5, 6):

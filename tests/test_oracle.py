@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poolregions import oracle
+from poolregions import frontier, oracle
 from poolregions.errors import BudgetExceededError, TieDetectedError
 from poolregions.faces import FaceSelection, build_selection_graph, is_face, selection_from_word
 from poolregions.model import WindowFamily, windows_1d, windows_3xn
@@ -66,11 +66,21 @@ def test_count_vertices_matches_reference(family):
 
 
 @st.composite
-def families(draw):
-    # as in test_frontier: d <= 7, at most 4 windows, gap coordinates allowed
-    d = draw(st.integers(1, 7))
+def families(draw, max_d=7, max_windows=4):
+    # as in test_frontier by default: d <= 7, at most 4 windows, gaps allowed
+    d = draw(st.integers(1, max_d))
     window = st.frozensets(st.integers(0, d - 1), min_size=1, max_size=d)
-    return WindowFamily(d, tuple(draw(st.lists(window, min_size=1, max_size=4))))
+    return WindowFamily(d, tuple(draw(st.lists(window, min_size=1, max_size=max_windows))))
+
+
+@st.composite
+def families_with_merged_last_window(draw):
+    # the last window holds an earlier window whole, so a choice of two or
+    # more of that window's coordinates puts them in one group of the last
+    family = draw(families(8, 4))
+    earlier = draw(st.sampled_from(family.windows))
+    extra = draw(st.frozensets(st.integers(0, family.ambient_size - 1)))
+    return WindowFamily(family.ambient_size, family.windows + (earlier | extra,))
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,6 +90,22 @@ def test_vertex_walk_matches_reference_on_random_families(family):
     want = reference_vertices(family)
     assert oracle.enumerate_vertices(family) == want
     assert oracle.count_vertices(family) == len(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(families(8, 5), families_with_merged_last_window()))
+@example(WindowFamily(4, (frozenset({0, 1}), frozenset({0, 1, 2, 3}))))
+@example(WindowFamily(4, (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1, 2, 3}))))
+def test_face_walk_matches_frontier_dp_on_random_families(family):
+    # 255^5 candidate choice lists at most, far more than the walk visits
+    assert oracle.enumerate_faces(family, budget=10**13) == frontier.fvector(family)
+
+
+def test_face_walk_3x4():
+    fv = oracle.enumerate_faces(windows_3xn(4))
+    assert fv.total() == 258529
+    assert fv.counts[0] == 1536
+    assert (fv.polytope_dim, fv.facet_count()) == (11, 40)
 
 
 @pytest.mark.parametrize("family", SMALL_FAMILIES, ids=range(len(SMALL_FAMILIES)))
