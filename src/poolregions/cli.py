@@ -79,22 +79,10 @@ def _family(args):
 
 
 def _cmd_vertices(args):
-    params = {"n": args.n, "k": args.k, "s": args.s}
-    if args.method:
-        value = seq1d.count_1d(args.n, args.k, args.s, args.method, budget=args.budget)
-        _emit(args, "vertices", params, str(value), [args.method])
-        return EXIT_OK
-    if args.k <= args.s:
-        # the walk model needs k > s; below it only the closed route (k^n) applies
-        values = {"closed": seq1d.count_1d(args.n, args.k, args.s, "closed")}
-    else:
-        values = {m: seq1d.count_1d(args.n, args.k, args.s, m) for m in ("matrix", "gf")}
-        try:
-            values["closed"] = seq1d.count_1d(args.n, args.k, args.s, "closed")
-        except RegimeNotCoveredError:
-            pass
+    methods = [args.method] if args.method else seq1d.count_methods(args.k, args.s)
+    values = {m: seq1d.count_1d(args.n, args.k, args.s, m, budget=args.budget) for m in methods}
     value = verify.agreed_value("vertices", values)
-    _emit(args, "vertices", params, str(value), sorted(values))
+    _emit(args, "vertices", {"n": args.n, "k": args.k, "s": args.s}, str(value), sorted(values))
     return EXIT_OK
 
 
@@ -135,11 +123,7 @@ def _cmd_facets(args):
     if args.paper_literal:
         if args.hrep or args.oracle:
             raise InvalidParamsError("--paper-literal excludes --hrep and --oracle")
-        facets1d.check_params("printed description", args.n, args.k, args.s)
-        fam = windows_1d(args.n, args.k, args.s)
-        report = facets1d.printed_description_diff(
-            args.n, args.k, args.s, oracle.enumerate_vertices(fam, budget=args.budget)
-        )
+        report = facets1d.printed_description_diff(args.n, args.k, args.s, args.budget)
         _emit(args, "facets", params, report, ["oracle", "derived"])
         return EXIT_OK
     formula = facets1d.facet_count_formula(args.n, args.k, args.s)
@@ -194,12 +178,10 @@ def _cmd_grid3xn(args):
         _emit(args, "grid3xn", params, result, ["oracle"])
         return EXIT_OK
     if args.method:
-        value = seq2d.count_2d(args.n, args.method, budget=args.budget)
-        _emit(args, "grid3xn", params, str(value), [args.method])
-        return EXIT_OK
-    values = {m: seq2d.count_2d(args.n, m) for m in ("b6", "gf")}
-    if args.n <= 4:
-        values["oracle"] = seq2d.count_2d(args.n, "oracle", budget=args.budget)
+        methods = [args.method]
+    else:
+        methods = ("b6", "gf", "oracle") if args.n <= 4 else ("b6", "gf")
+    values = {m: seq2d.count_2d(args.n, m, budget=args.budget) for m in methods}
     value = verify.agreed_value("grid3xn", values)
     _emit(args, "grid3xn", params, str(value), sorted(values))
     return EXIT_OK
@@ -241,6 +223,65 @@ def _cmd_verify(args):
     return EXIT_OK if report["ok"] else EXIT_VERIFY
 
 
+# each flag is (name, add_argument keywords)
+_KS = (("--k", {"type": int, "required": True}), ("--s", {"type": int, "required": True}))
+_KSN = (*_KS, ("--n", {"type": int, "required": True}))
+_FAMILY = (
+    ("--k", {"type": int}),
+    ("--s", {"type": int}),
+    ("--n", {"type": int}),
+    ("--grid3xn", {"type": int, "metavar": "N",
+                   "help": "use the 3-row grid with N columns instead of --k/--s/--n"}),
+)
+
+# command name -> (help, handler, flags)
+COMMANDS = {
+    "vertices": ("1-D vertex count b_n", _cmd_vertices,
+                 (*_KSN, ("--method", {"choices": seq1d.COUNT_METHODS}))),
+    "gf": ("1-D generating function", _cmd_gf, (
+        *_KS,
+        ("--closed", {"action": "store_true",
+                      "help": "closed form, when covered (default: transfer-matrix form)"}),
+    )),
+    "fvector": ("face counts by dimension (frontier DP)", _cmd_fvector, _FAMILY),
+    "total-faces": ("total face count incl. the empty face", _cmd_total_faces, _FAMILY),
+    "facets": ("1-D facet count / H-representation", _cmd_facets, (
+        *_KSN,
+        ("--hrep", {"action": "store_true", "help": "emit the inequality description"}),
+        ("--oracle", {"action": "store_true",
+                      "help": "cross-check the formula against the frontier DP's facet count"}),
+        ("--paper-literal", {"action": "store_true",
+                             "help": "diff report for the uncorrected published description"}),
+    )),
+    "growth": ("exponential growth rate of vertex counts", _cmd_growth, (
+        ("--k", {"type": int}),
+        ("--s", {"type": int}),
+        ("--grid3xn", {"action": "store_true", "help": "3-row grid instead of 1-D"}),
+        ("--large-strides", {"action": "store_true",
+                             "help": "cross-check the closed large-strides formula"}),
+    )),
+    "grid3xn": ("vertex counts V_n of the 3-row grid", _cmd_grid3xn, (
+        ("--n", {"type": int, "required": True}),
+        ("--method", {"choices": seq2d.COUNT_METHODS}),
+        ("--class-counts", {"action": "store_true",
+                            "help": "per-class vertex counts (oracle; --budget bounds n)"}),
+    )),
+    "grid2xn": ("vertex counts of the 2-row grid", _cmd_grid2xn,
+                (("--n", {"type": int, "required": True}),)),
+    "regions": ("sample gradient regions of the pooling map", _cmd_regions, (
+        *_FAMILY,
+        ("--sample", {"type": int, "required": True}),
+        ("--seed", {"type": int, "default": 0}),
+    )),
+    "tables": ("reproduce the golden edge/total-face tables", _cmd_tables, (
+        ("--kind", {"choices": ("edges", "total"), "required": True}),
+        ("--nmax", {"type": int, "default": 4, "choices": range(1, 6)}),
+    )),
+    "verify": ("run the self-verification suite", _cmd_verify,
+               (("--level", {"choices": ("quick", "full"), "default": "quick"}),)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poolregions",
@@ -251,82 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="work budget: candidate choice lists of an oracle walk, "
                              "(state, chosen set) pairs of the frontier DP")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_ks(p, with_n=True):
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--s", type=int, required=True)
-        if with_n:
-            p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("vertices", help="1-D vertex count b_n")
-    add_ks(p)
-    p.add_argument("--method", choices=seq1d.COUNT_METHODS)
-    p.set_defaults(func=_cmd_vertices)
-
-    p = sub.add_parser("gf", help="1-D generating function")
-    add_ks(p, with_n=False)
-    p.add_argument("--closed", action="store_true",
-                   help="closed form, when covered (default: transfer-matrix form)")
-    p.set_defaults(func=_cmd_gf)
-
-    def add_family(p):
-        p.add_argument("--k", type=int)
-        p.add_argument("--s", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--grid3xn", type=int, metavar="N",
-                       help="use the 3-row grid with N columns instead of --k/--s/--n")
-
-    p = sub.add_parser("fvector", help="face counts by dimension (frontier DP)")
-    add_family(p)
-    p.set_defaults(func=_cmd_fvector)
-
-    p = sub.add_parser("total-faces", help="total face count incl. the empty face")
-    add_family(p)
-    p.set_defaults(func=_cmd_total_faces)
-
-    p = sub.add_parser("facets", help="1-D facet count / H-representation")
-    add_ks(p)
-    p.add_argument("--hrep", action="store_true", help="emit the inequality description")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check the formula against the frontier DP's facet count")
-    p.add_argument("--paper-literal", action="store_true",
-                   help="diff report for the uncorrected published description")
-    p.set_defaults(func=_cmd_facets)
-
-    p = sub.add_parser("growth", help="exponential growth rate of vertex counts")
-    p.add_argument("--k", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--grid3xn", action="store_true", help="3-row grid instead of 1-D")
-    p.add_argument("--large-strides", action="store_true",
-                   help="cross-check the closed large-strides formula")
-    p.set_defaults(func=_cmd_growth)
-
-    p = sub.add_parser("grid3xn", help="vertex counts V_n of the 3-row grid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=seq2d.COUNT_METHODS)
-    p.add_argument("--class-counts", action="store_true",
-                   help="per-class vertex counts (oracle; --budget bounds n)")
-    p.set_defaults(func=_cmd_grid3xn)
-
-    p = sub.add_parser("grid2xn", help="vertex counts of the 2-row grid")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_grid2xn)
-
-    p = sub.add_parser("regions", help="sample gradient regions of the pooling map")
-    add_family(p)
-    p.add_argument("--sample", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_regions)
-
-    p = sub.add_parser("tables", help="reproduce the golden edge/total-face tables")
-    p.add_argument("--kind", choices=("edges", "total"), required=True)
-    p.add_argument("--nmax", type=int, default=4, choices=range(1, 6))
-    p.set_defaults(func=_cmd_tables)
-
-    p = sub.add_parser("verify", help="run the self-verification suite")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (help_text, handler, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -349,6 +319,8 @@ def main(argv=None) -> int:
     set_max_digits = getattr(sys, "set_int_max_str_digits", lambda _: None)
     set_max_digits(0)
     try:
+        if args.budget < 1:
+            raise InvalidParamsError(f"budget must be >= 1, got {args.budget}")
         return args.func(args)
     except BudgetExceededError as exc:
         print(json.dumps({"error": "budget-exceeded", "detail": str(exc)}))

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import InvalidParamsError
+from .model import windows_1d
+from .oracle import DEFAULT_BUDGET, enumerate_vertices
 
 
 class HRow(namedtuple("HRow", "coeffs rhs sense label")):
@@ -60,7 +62,7 @@ def vertex_points(ambient: int, words) -> list[tuple[int, ...]]:
     return points
 
 
-def check_params(what, n, k, s):
+def _check_params(what, n, k, s):
     """Raise InvalidParamsError unless k > s >= 1 and n >= 1."""
     if not (k > s >= 1 and n >= 1):
         raise InvalidParamsError(f"{what} needs k > s >= 1, n >= 1")
@@ -82,7 +84,7 @@ def h_representation(n: int, k: int, s: int) -> HRep:
     (r = 1..n-1), where consecutive windows meet in the single point a, do
     not support facets and are excluded from the x_a >= 0 family.
     """
-    check_params("h-representation", n, k, s)
+    _check_params("h-representation", n, k, s)
     K = s * (n - 1) + k
     equalities = (HRow((1,) * K, n, "=", "affine-span"),)
 
@@ -112,7 +114,7 @@ def printed_rows(n: int, k: int, s: int) -> tuple[HRow, ...]:
     Kept only for the diff report: several of these rows are violated by
     actual vertices.
     """
-    check_params("printed description", n, k, s)
+    _check_params("printed description", n, k, s)
     K = s * (n - 1) + k
     rows = [HRow((1,) * K, n, "=", "affine-span")]
     for r in range(n - 1):
@@ -127,14 +129,15 @@ def printed_rows(n: int, k: int, s: int) -> tuple[HRow, ...]:
     return tuple(rows)
 
 
-def printed_description_diff(n: int, k: int, s: int, vertices) -> dict:
+def printed_description_diff(n: int, k: int, s: int, budget: int = DEFAULT_BUDGET) -> dict:
     """Machine comparison of the printed description against the derived one.
 
-    `vertices` are oracle vertex words; each printed row is checked against
-    every vertex point and its violations counted, with an example.
+    Each printed row is checked against every vertex point of the oracle
+    walk (`budget` bounds it) and its violations counted, with an example.
+    Bad parameters raise before the walk starts.
     """
     printed = printed_rows(n, k, s)
-    points = vertex_points(s * (n - 1) + k, vertices)
+    points = vertex_points(s * (n - 1) + k, enumerate_vertices(windows_1d(n, k, s), budget))
     derived = h_representation(n, k, s)
     derived_by_label = {row.label: row for row in derived.rows()}
 

@@ -123,11 +123,8 @@ def enumerate_vertices(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> li
     """All vertices of the family's polytope, as per-window coordinate words.
 
     Output order is lexicographic over words.  Each word is the acyclic
-    singleton selection picking word[i] in window i.  Choosing a in window w
-    adds the edges a -> w minus {a} to an acyclic prefix graph, so it closes
-    a cycle exactly when some b in w already reaches a.  One sweep from the
-    successors of all of w gives that reachable set R+(w); the valid choices
-    are w minus R+(w), taken in increasing order.
+    singleton selection picking word[i] in window i; the walk makes only
+    valid choices (vertex walk, module docstring).
     """
     words: list[tuple[int, ...]] = []
     _vertex_walk(family, budget, words)
@@ -142,24 +139,11 @@ def count_vertices(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> int:
 def enumerate_faces(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVector:
     """Tally all nonempty faces by dimension (dimension = d - class count).
 
-    DFS over the windows that makes only valid children (module
-    docstring).  A node is an acyclic prefix, kept as classes of coordinates:
-    `rep` maps a coordinate to its class representative, and `members` and
-    `out` give each class's coordinates and edge targets as bitmasks.  At
-    window w, one sweep gives R+(w), the classes reached from w's classes
-    along at least one edge.  Choosing C in w is valid exactly when C is a
-    nonempty union of the g groups of w whose class is not in R+(w):
-    - a group split by C gives the merged class u an edge to itself;
-    - a chosen class in R+(w) is reached from a chosen class (the path
-      closes on u) or from the class of an unchosen coordinate (which u
-      now points to);
-    - otherwise a new cycle runs through u and holds a path of at least one
-      old edge from a class of w to a chosen class, which would be in R+(w).
-    The first class of w in a topological order is reached from no class
-    of w, so g >= 1, and a node has exactly 2^g - 1 children.  Merging j
-    groups leaves c - j + 1 of the c classes, so at the last window the
-    leaves are tallied, not visited: C(g, j) faces of dimension
-    d - (c - j + 1) for j = 1..g.
+    Depth-first over the windows, making only valid children and tallying
+    the last window without visiting it (face walk, module docstring).  A
+    node is an acyclic prefix, kept as classes of coordinates: `rep` maps a
+    coordinate to its class representative, and `members` and `out` give
+    each class's coordinates and edge targets as bitmasks.
     """
     windows = family.windows
     _check_budget(windows, lambda w: (1 << len(w)) - 1, budget)

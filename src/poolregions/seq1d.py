@@ -94,6 +94,11 @@ def large_strides_regime(k: int, s: int) -> bool:
     return math.ceil(k / 2) <= s <= k - 2
 
 
+def proportional_regime(k: int, s: int) -> bool:
+    """Whether the proportional-strides closed forms hold: s >= 1, s | k, k >= 2s."""
+    return s >= 1 and k % s == 0 and k // s >= 2
+
+
 def _gf_large_strides(k, s):
     return rational_gf((1,), (1, -k, (k - s) * (k - s - 1)))
 
@@ -130,7 +135,7 @@ def gf_closed(k: int, s: int) -> ClosedForm:
     if large_strides_regime(k, s):
         regimes.append("large-strides")
         gfs.append(_gf_large_strides(k, s))
-    if k % s == 0 and k // s >= 2:
+    if proportional_regime(k, s):
         regimes.append("proportional")
         gfs.append(_gf_proportional(k, s))
     if not gfs:
@@ -146,7 +151,7 @@ def closed_initial(m: int, k: int, s: int) -> int:
     The first r+1 values follow a geometric-in-(s+1) closed formula; the
     value at m = r+2 carries an extra correction term.
     """
-    if s < 1 or k % s != 0 or k // s < 2:
+    if not proportional_regime(k, s):
         raise RegimeNotCoveredError(f"need s | k and k >= 2s, got (k={k}, s={s})")
     r = k // s - 1
     if not 1 <= m <= r + 2:
@@ -156,6 +161,19 @@ def closed_initial(m: int, k: int, s: int) -> int:
     return (s + 1) ** (r + 1) * (
         (r + 3) * s * (s * r - 1) + s * (r + 1) + s * (s + 1)
     ) + s * (r * s - 1) ** 2
+
+
+def count_methods(k: int, s: int) -> tuple[str, ...]:
+    """The count_1d routes other than the oracle that cover (k, s).
+
+    The walk model (matrix, gf) needs k > s; the closed route covers
+    k <= s + 1 and the large- and proportional-strides regimes.
+    """
+    if k <= s:
+        return ("closed",)
+    if k == s + 1 or large_strides_regime(k, s) or proportional_regime(k, s):
+        return ("matrix", "gf", "closed")
+    return ("matrix", "gf")
 
 
 def count_1d(n: int, k: int, s: int, method: str = "matrix", budget: int = oracle.DEFAULT_BUDGET) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from . import facets1d, frontier, oracle, seq1d, seq2d
-from .errors import RegimeNotCoveredError, VerificationError
+from .errors import VerificationError
 from .model import windows_1d, windows_3xn
 from .polyalg import (
     det_poly,
@@ -96,12 +96,9 @@ def check_cross_method_grid(full=True):
     cells = 0
     for k in range(2, kmax + 1):
         for s in range(1, k):
+            methods = ("oracle", *seq1d.count_methods(k, s))
             for n in range(1, nmax + 1):
-                values = {m: seq1d.count_1d(n, k, s, m) for m in ("matrix", "oracle", "gf")}
-                try:
-                    values["closed"] = seq1d.count_1d(n, k, s, "closed")
-                except RegimeNotCoveredError:
-                    pass
+                values = {m: seq1d.count_1d(n, k, s, m) for m in methods}
                 agreed_value(f"cross-method (n={n},k={k},s={s})", values)
                 cells += 1
     return f"{cells} grid cells agree across all applicable methods"
@@ -242,9 +239,7 @@ def check_facets(full=True):
                             "facets",
                             f"(n={n},k={k},s={s}) row {row.label} not facet-supporting",
                         )
-    report = facets1d.printed_description_diff(
-        2, 3, 1, oracle.enumerate_vertices(windows_1d(2, 3, 1))
-    )
+    report = facets1d.printed_description_diff(2, 3, 1)
     if report["rows_violated"] == 0:
         _fail("facets", "printed-description diff report shows no violations")
     senses = {

@@ -271,6 +271,9 @@ LARGE_STRIDES_UNCOVERED = [
     ("fvector", "--grid3xn", "2", "--k", "3"),
     ("total-faces", "--grid3xn", "2", "--s", "1"),
     ("regions", "--grid3xn", "2", "--n", "2", "--sample", "10"),
+    # the default routes of a nonpositive stride or window: no ZeroDivisionError
+    ("vertices", "--k", "3", "--s", "0", "--n", "3"),
+    ("vertices", "--k", "0", "--s", "1", "--n", "3"),
     # the closed growth holds only from s = ceil(k/2), as `gf --closed`
     *LARGE_STRIDES_UNCOVERED,
 ])
@@ -279,6 +282,30 @@ def test_invalid_input_exit_code(capsys, argv):
     assert code == 2
     expected = "RegimeNotCoveredError" if argv in LARGE_STRIDES_UNCOVERED else "InvalidParamsError"
     assert payload["error"] == expected
+
+
+# one valid argv per command
+ONE_PER_COMMAND = {
+    "vertices": ("--k", "3", "--s", "1", "--n", "4"),
+    "gf": ("--k", "3", "--s", "1"),
+    "fvector": ("--k", "3", "--s", "1", "--n", "2"),
+    "total-faces": ("--grid3xn", "2"),
+    "facets": ("--k", "3", "--s", "1", "--n", "2"),
+    "growth": ("--k", "3", "--s", "1"),
+    "grid3xn": ("--n", "5"),
+    "grid2xn": ("--n", "5"),
+    "regions": ("--k", "3", "--s", "1", "--n", "2", "--sample", "10"),
+    "tables": ("--kind", "edges", "--nmax", "1"),
+    "verify": (),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_PER_COMMAND))
+def test_every_command_rejects_a_budget_below_one(capsys, command):
+    assert set(ONE_PER_COMMAND) == set(cli.COMMANDS)
+    code, payload = run_json(capsys, "--budget", "0", command, *ONE_PER_COMMAND[command])
+    assert code == 2
+    assert payload == {"error": "InvalidParamsError", "detail": "budget must be >= 1, got 0"}
 
 
 def test_tables_mismatch_is_verification_failure(capsys, monkeypatch):

@@ -43,3 +43,13 @@ def test_benchmark_layer_names_exist():
             if not inspect.isfunction(getattr(mod, parts[1], None)):
                 missing.append(".".join(parts[:2]))
     assert missing == []
+
+
+def test_readme_command_lines_match_the_command_table():
+    from poolregions import cli
+
+    with open(README) as f:
+        text = f.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    named = set(re.findall(r"^poolregions (?:--\S+ \S+ )*([a-z][\w-]*)", block, re.M))
+    assert named == set(cli.COMMANDS)

@@ -95,9 +95,7 @@ def test_descriptions_reject_bad_params(fn, n, k, s):
 
 
 def test_diff_report_shows_violations():
-    report = facets1d.printed_description_diff(
-        2, 3, 1, oracle.enumerate_vertices(windows_1d(2, 3, 1))
-    )
+    report = facets1d.printed_description_diff(2, 3, 1)
     assert report["vertex_count"] == 7
     assert report["rows_violated"] > 0
     violated = {e["label"] for e in report["entries"] if e["violations"]}

@@ -6,6 +6,7 @@ from poolregions import oracle, seq1d
 from poolregions.errors import (
     InvalidParamsError,
     OutOfWindowError,
+    PoolRegionsError,
     RegimeNotCoveredError,
 )
 from poolregions.faces import is_face, selection_from_word
@@ -133,6 +134,26 @@ def test_count_methods_agree_small_grid():
                     assert seq1d.count_1d(n, k, s, "closed") == want
                 except RegimeNotCoveredError:
                     assert math.ceil(k / 2) > s and k % s != 0 and k > s + 1
+
+
+def test_count_methods_are_the_routes_that_do_not_raise():
+    # s < k covers the walk model; k <= s leaves only the closed route k^n
+    for k in range(1, 17):
+        for s in range(1, 17):
+            covered = []
+            for m in ("matrix", "gf", "closed"):
+                try:
+                    seq1d.count_1d(3, k, s, m)
+                    covered.append(m)
+                except PoolRegionsError:
+                    pass
+            assert seq1d.count_methods(k, s) == tuple(covered), (k, s)
+
+
+def test_proportional_regime_rejects_nonpositive_stride():
+    assert not seq1d.proportional_regime(3, 0)
+    assert not seq1d.proportional_regime(-4, -2)
+    assert seq1d.proportional_regime(6, 3) and not seq1d.proportional_regime(3, 3)
 
 
 def test_oracle_count_at_n12():
