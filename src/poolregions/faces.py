@@ -95,30 +95,17 @@ def _union_find_classes(d, chosen):
     return find
 
 
-def _graph_has_cycle(adj):
-    # iterative three-color DFS; adj maps node -> bitmask of successors
-    color = {}
-    for start in adj:
-        if start in color:
-            continue
-        color[start] = 1
-        stack = [(start, adj.get(start, 0))]
-        while stack:
-            node, mask = stack[-1]
-            if mask:
-                low = mask & -mask
-                stack[-1] = (node, mask ^ low)
-                nxt = low.bit_length() - 1
-                c = color.get(nxt)
-                if c == 1:
-                    return True
-                if c is None:
-                    color[nxt] = 1
-                    stack.append((nxt, adj.get(nxt, 0)))
-            else:
-                color[node] = 2
-                stack.pop()
-    return False
+def _acyclic(edges):
+    from graphlib import CycleError, TopologicalSorter
+
+    sorter = TopologicalSorter()
+    for src, dst in edges:
+        sorter.add(dst, src)  # a loop (src == dst) is a cycle
+    try:
+        sorter.prepare()
+    except CycleError:
+        return False
+    return True
 
 
 def build_selection_graph(sel: FaceSelection) -> SelectionGraph:
@@ -134,20 +121,10 @@ def build_selection_graph(sel: FaceSelection) -> SelectionGraph:
     classes = tuple(frozenset(members[r]) for r in reps)
 
     edges = set()
-    has_loop = False
-    adj: dict[int, int] = {}
     for c, w in zip(sel.chosen, sel.family.windows):
         src = index_of[find(min(c))]
-        for b in w - c:
-            dst = index_of[find(b)]
-            edges.add((src, dst))
-            if dst == src:
-                has_loop = True
-            else:
-                adj[src] = adj.get(src, 0) | (1 << dst)
-
-    acyclic = not has_loop and not _graph_has_cycle(adj)
-    return SelectionGraph(classes=classes, edges=frozenset(edges), acyclic=acyclic)
+        edges.update((src, index_of[find(b)]) for b in w - c)
+    return SelectionGraph(classes=classes, edges=frozenset(edges), acyclic=_acyclic(edges))
 
 
 def is_face(sel: FaceSelection) -> bool:

@@ -133,11 +133,16 @@ def printed_description_diff(n: int, k: int, s: int, budget: int = DEFAULT_BUDGE
     """Machine comparison of the printed description against the derived one.
 
     Each printed row is checked against every vertex point of the oracle
-    walk (`budget` bounds it) and its violations counted, with an example.
-    Bad parameters raise before the walk starts.
+    walk and its violations counted, with an example.  `budget` bounds the
+    walk and the scan together: a vertex costs rows x K coordinate reads, so
+    the walk gets budget // (rows x K) candidates, at least one.  Bad
+    parameters raise before the walk starts.
     """
     printed = printed_rows(n, k, s)
-    points = vertex_points(s * (n - 1) + k, enumerate_vertices(windows_1d(n, k, s), budget))
+    K = s * (n - 1) + k
+    if budget >= 1:  # a budget below 1 reaches the walk, which rejects it
+        budget = max(1, budget // (len(printed) * K))
+    points = vertex_points(K, enumerate_vertices(windows_1d(n, k, s), budget))
     derived = h_representation(n, k, s)
     derived_by_label = {row.label: row for row in derived.rows()}
 

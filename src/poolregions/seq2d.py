@@ -1,11 +1,14 @@
 """Vertex counts for the 3-row grid with two-by-two windows.
 
 The two-window polytope on the 3x2 grid has 14 vertices; Q2_VERTEX_PAIRS
-takes them from the oracle, in its lexicographic word order.  The paper
-gives two matrices.  A14 is a 14x14 0/1 matrix that records which pairs of
-these vertices, on two overlapping column pairs, form a vertex of the
-width-3 polytope; derive_a14() recomputes it from the face criterion.  A14
-does not count vertices: its walk counts 1^T A14^n 1 for n = 0..3 are 14,
+takes them from the oracle, in its lexicographic word order.  One private
+reader, _cells, maps the two windows of any column pair of a 3xn vertex
+word to one of these 14; Q2_VERTEX_PAIRS, derive_a14() and class_counts()
+all read the oracle's vertex words through it.  The paper gives two
+matrices.  A14 is a 14x14 0/1 matrix that records which pairs of these
+vertices, on two overlapping column pairs, form a vertex of the width-3
+polytope; derive_a14() reads it off the 150 vertex words of the 3x3 grid.
+A14 does not count vertices: its walk counts 1^T A14^n 1 for n = 0..3 are 14,
 150, 1538, 15636, against V_2..V_5 = 14, 150, 1536, 15594.  B6 is a 6x6
 integer matrix whose powers give the vertex counts V_n for every width n;
 nothing here derives it from A14.  This module carries both matrices, the
@@ -26,7 +29,6 @@ from collections import namedtuple
 
 from . import oracle, seq1d
 from .errors import InvalidParamsError
-from .faces import is_face, selection_from_word
 from .model import windows_3xn
 from .polyalg import (
     RationalGF,
@@ -37,18 +39,30 @@ from .polyalg import (
     smallest_positive_root,
 )
 
+
+def _cells(word, n, c):
+    """The cells (row, col - c) that windows c and n - 1 + c of a 3xn word choose.
+
+    In windows_3xn(n) these are the upper and lower windows of column pair
+    (c, c + 1), and cell (i, j) is the flat coordinate i*n + j.
+    """
+    up, lo = word[c], word[n - 1 + c]
+    return (up // n, up % n - c), (lo // n, lo % n - c)
+
+
 # the 14 vertices of the two-window (3x2) polytope, each as its chosen cell
 # (row, col) in the upper and lower window, in the oracle's lexicographic
-# word order (flat index = 2 * row + col); the transfer matrices index by
-# this order, and A14_ENTRIES and the class counts pin it
+# word order; the transfer matrices index by this order, and A14_ENTRIES and
+# the class counts pin it
 Q2_VERTEX_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = tuple(
-    (divmod(up, 2), divmod(lo, 2)) for up, lo in oracle.enumerate_vertices(windows_3xn(2))
+    _cells(w, 2, 0) for w in oracle.enumerate_vertices(windows_3xn(2))
 )
+_PAIR_INDEX = {pair: i for i, pair in enumerate(Q2_VERTEX_PAIRS)}
 
 # the paper's 14x14 matrix: entry (i, j) = 1 when the j-th vertex of the left
 # column pair plus the i-th vertex of the right column pair is a vertex of the
-# width-3 polytope; derive_a14() recomputes this from the face criterion and
-# must reproduce it exactly
+# width-3 polytope; derive_a14() reads it off the oracle's width-3 vertices
+# and must reproduce it exactly
 A14_ENTRIES: tuple[tuple[int, ...], ...] = (
     (1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0),
     (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0),
@@ -86,31 +100,18 @@ def b6_matrix() -> TransferMatrix:
 
 
 def derive_a14() -> TransferMatrix:
-    """Recompute the 14x14 appending matrix from the face criterion.
+    """Read the 14x14 appending matrix off the vertices of the 3x3 grid.
 
-    Left vertices live in columns (0, 1) of the 3x3 grid, right vertices in
-    columns (1, 2); the four singleton choices form a width-3 selection
-    whose facehood decides the entry.
+    Left vertices live in columns (0, 1), right vertices in columns (1, 2).
+    Entry (right, left) is 1 when the four-window word joining them is a
+    vertex.  Every vertex word of windows_3xn(3) is such a join, since its
+    windows on either column pair choose a Q2 vertex, so setting the entry
+    of each of its 150 vertex words gives the whole matrix.
     """
-    fam = windows_3xn(3)  # window order: (0,0), (0,1), (1,0), (1,1)
-
-    def flat(cell, shift):
-        i, j = cell
-        return 3 * i + (j + shift)
-
-    entries = []
-    for right in Q2_VERTEX_PAIRS:
-        row = []
-        for left in Q2_VERTEX_PAIRS:
-            word = (
-                flat(left[0], 0),
-                flat(right[0], 1),
-                flat(left[1], 0),
-                flat(right[1], 1),
-            )
-            row.append(1 if is_face(selection_from_word(fam, word)) else 0)
-        entries.append(tuple(row))
-    return TransferMatrix(14, tuple(entries))
+    entries = [[0] * 14 for _ in range(14)]
+    for w in oracle.enumerate_vertices(windows_3xn(3)):
+        entries[_PAIR_INDEX[_cells(w, 3, 1)]][_PAIR_INDEX[_cells(w, 3, 0)]] = 1
+    return TransferMatrix(14, tuple(map(tuple, entries)))
 
 
 def gf_2d() -> RationalGF:
@@ -163,16 +164,9 @@ def class_counts(n: int, budget: int = oracle.DEFAULT_BUDGET) -> ClassCounts:
     """
     if n < 2:
         raise InvalidParamsError("need n >= 2")
-    fam = windows_3xn(n)
-    pair_index = {pair: i for i, pair in enumerate(Q2_VERTEX_PAIRS)}
     counts = [0] * 14
-    upper_ix, lower_ix = n - 2, 2 * n - 3  # windows (0, n-2) and (1, n-2)
-    for word in oracle.enumerate_vertices(fam, budget):
-        up = divmod(word[upper_ix], n)
-        lo = divmod(word[lower_ix], n)
-        shift = n - 2
-        key = ((up[0], up[1] - shift), (lo[0], lo[1] - shift))
-        counts[pair_index[key]] += 1
+    for w in oracle.enumerate_vertices(windows_3xn(n), budget):
+        counts[_PAIR_INDEX[_cells(w, n, n - 2)]] += 1
     return ClassCounts(n=n, counts=tuple(counts))
 
 

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -161,6 +163,37 @@ def test_facets_paper_literal_checks_params_before_the_oracle_walk(capsys):
     assert code == 2
     assert payload["error"] == "InvalidParamsError"
     assert payload["detail"].startswith("printed description")
+
+
+def test_facets_paper_literal_budget_covers_the_row_scan(capsys):
+    # k = s + 1: all 3^12 candidates are vertices, and each would be scanned
+    # against 36 rows of 25 coordinates; the default budget stops it first
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "facets", "--k", "3", "--s", "2", "--n", "12", "--paper-literal")
+    assert code == 3
+    assert payload["error"] == "budget-exceeded"
+    assert time.perf_counter() - start < 1
+
+
+def test_facets_paper_literal_small_budget_still_exceeds(capsys):
+    # budget // (rows x K) is 0 here; the walk gets one candidate, not zero
+    code, payload = run_json(
+        capsys, "--budget", "1", "facets", "--k", "3", "--s", "1", "--n", "2", "--paper-literal"
+    )
+    assert code == 3
+    assert payload["error"] == "budget-exceeded"
+
+
+def test_facets_paper_literal_report_n10(capsys):
+    # the largest k = 3, s = 2 report under the default budget
+    code, payload = run_json(capsys, "facets", "--k", "3", "--s", "2", "--n", "10", "--paper-literal")
+    assert code == 0
+    report = payload["result"]
+    assert {k: v for k, v in report.items() if k != "entries"} == {
+        "n": 10, "k": 3, "s": 2, "vertex_count": 59049, "printed_rows": 30, "rows_violated": 20,
+    }
+    digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+    assert digest == "40e6eaf35bd3b2f072e2e17ab4feef83e8fd7d149f552d5144c6ea04191fed6b"
 
 
 def test_growth(capsys):

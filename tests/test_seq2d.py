@@ -128,6 +128,17 @@ def test_class_counts_n3_are_row_sums():
     assert sum(counts) == 150
 
 
+def test_class_counts_read_the_last_column_pair():
+    # at n >= 4 the last column pair starts at column n - 2 > 1, so these
+    # pin the column offset that n = 2 and n = 3 cannot tell apart
+    assert seq2d.class_counts(4).counts == (
+        77, 101, 88, 112, 101, 150, 112, 150, 66, 77, 101, 150, 101, 150,
+    )
+    assert seq2d.class_counts(5).counts == (
+        772, 1023, 884, 1135, 1023, 1536, 1135, 1536, 660, 772, 1023, 1536, 1023, 1536,
+    )
+
+
 def test_growth_2d():
     g = seq2d.growth_2d()
     assert abs(g - 2.3156) < 1e-3
