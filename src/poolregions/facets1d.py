@@ -22,7 +22,9 @@ class HRow(namedtuple("HRow", "coeffs rhs sense label")):
     __slots__ = ()
 
     def satisfied_by(self, point) -> bool:
-        v = sum(c * x for c, x in zip(self.coeffs, point))
+        return self.holds_at(sum(c * x for c, x in zip(self.coeffs, point)))
+
+    def holds_at(self, v) -> bool:
         if self.sense == "<=":
             return v <= self.rhs
         if self.sense == ">=":
@@ -132,23 +134,25 @@ def printed_rows(n: int, k: int, s: int) -> tuple[HRow, ...]:
 def printed_description_diff(n: int, k: int, s: int, budget: int = DEFAULT_BUDGET) -> dict:
     """Machine comparison of the printed description against the derived one.
 
-    Each printed row is checked against every vertex point of the oracle
-    walk and its violations counted, with an example.  `budget` bounds the
-    walk and the scan together: a vertex costs rows x K coordinate reads, so
-    the walk gets budget // (rows x K) candidates, at least one.  Bad
-    parameters raise before the walk starts.
+    Each printed row is evaluated on every vertex word of the oracle walk
+    (coordinate a of the point counts the letters equal to a, so coeffs .
+    point sums coeffs over the letters) and its violations are counted, with
+    an example point.  `budget` bounds the walk and the scan together: the
+    walk gets budget // (rows x K) candidates, at least one, an upper bound
+    on a vertex's reads.  Bad parameters raise before the walk starts.
     """
     printed = printed_rows(n, k, s)
     K = s * (n - 1) + k
     if budget >= 1:  # a budget below 1 reaches the walk, which rejects it
         budget = max(1, budget // (len(printed) * K))
-    points = vertex_points(K, enumerate_vertices(windows_1d(n, k, s), budget))
+    words = enumerate_vertices(windows_1d(n, k, s), budget)
     derived = h_representation(n, k, s)
     derived_by_label = {row.label: row for row in derived.rows()}
 
     entries = []
     for row in printed:
-        bad = [p for p in points if not row.satisfied_by(p)]
+        coeff = row.coeffs.__getitem__
+        bad = [w for w in words if not row.holds_at(sum(map(coeff, w)))]
         twin = derived_by_label.get(row.label)
         entries.append(
             {
@@ -158,14 +162,14 @@ def printed_description_diff(n: int, k: int, s: int, budget: int = DEFAULT_BUDGE
                 if twin is None
                 else {"coeffs": twin.coeffs, "sense": twin.sense, "rhs": twin.rhs},
                 "violations": len(bad),
-                "example_violating_vertex": bad[0] if bad else None,
+                "example_violating_vertex": vertex_points(K, bad[:1])[0] if bad else None,
             }
         )
     return {
         "n": n,
         "k": k,
         "s": s,
-        "vertex_count": len(points),
+        "vertex_count": len(words),
         "printed_rows": len(entries),
         "rows_violated": sum(1 for e in entries if e["violations"]),
         "entries": entries,

@@ -14,7 +14,10 @@ coordinates are all retired can gain no edge and join no merge any more, so
 it leaves the state; paths through it survive in the closure.  The value of
 a state is a polynomial in the number of retired classes, so at the end the
 coefficient at c classes counts the faces of dimension d - c.  Coordinates
-that no window uses are retired singletons from the start.
+that no window uses are retired singletons from the start.  A step makes
+only the valid children of each state, by the face-walk lemma stated in the
+`oracle` module docstring, so no cycle test runs; the two modules share
+that lemma but no code.
 """
 
 from __future__ import annotations
@@ -27,11 +30,14 @@ from .oracle import DEFAULT_BUDGET, FVector
 def _window_order(masks):
     """Greedy processing order and the live coordinates after each step.
 
-    Repeatedly takes the window that leaves the fewest live coordinates,
-    breaking ties by index.  The tally does not depend on the order, but the
-    number of states does: the row-first order of `windows_3xn` keeps a
-    whole row live and blows up, while this order sweeps 3xn column by
-    column.
+    Repeatedly takes the window that leaves the fewest live coordinates.
+    Ties go to the window with the most coordinates already touched, then
+    the fewest remaining uses of its coordinates, then the lowest index.
+    The tally does not depend on the order, but the number of states does:
+    the row-first order of `windows_3xn` keeps a whole row live and blows
+    up, while this order sweeps 3xn column by column.  Ties by index alone
+    would follow the listing order: 4x8 with 2x2 windows passed a million
+    states, against 333 for 8x4 and for both with these tie-breaks.
     """
     uses = {}
     for m in masks:
@@ -51,7 +57,11 @@ def _window_order(masks):
         def live_after(i):
             return (touched | masks[i]) & used & ~(masks[i] & once)
 
-        best = min(remaining, key=lambda i: (live_after(i).bit_count(), i))
+        def rank(i):
+            m = masks[i]
+            return live_after(i).bit_count(), -(m & touched).bit_count(), sum(map(uses.get, _bits(m))), i
+
+        best = min(remaining, key=rank)
         lives.append(live_after(best))
         order.append(best)
         remaining.remove(best)
@@ -69,63 +79,46 @@ def _bits(mask):
 
 
 def _step(states, wmask, live, width):
-    """Extend every state by every nonempty chosen subset of one window.
+    """Extend every state by every valid chosen set of one window.
 
     A state is a sorted tuple of (class mask, reach mask) pairs over live
     coordinates; the reach mask is the union of the classes the class
-    reaches.  Values pack the retired-class polynomial into one integer,
-    `width` bits per coefficient, so retiring r classes is a shift by
-    r * width.
+    reaches, transitively closed.  The window's groups are the classes it
+    hits plus its untouched coordinates as singletons, and R+(w) is the
+    union of the hit classes' reach masks.  By the face-walk lemma in the
+    `oracle` module docstring, the valid chosen sets are exactly the
+    nonempty unions of the groups outside R+(w), so every child made here
+    is valid.  The merged class u reaches the chosen classes' reach and
+    every unchosen group with its reach; as R+(w) is closed and holds every
+    group's reach, that is R+(w) plus the unchosen free groups.  Values
+    pack the retired-class polynomial into one integer, `width` bits per
+    coefficient, so retiring r classes is a shift by r * width.
     """
-    bits = list(_bits(wmask))
-    subsets = []
-    for sub in range(1, 1 << len(bits)):
-        chosen = sum(b for t, b in enumerate(bits) if sub >> t & 1)
-        subsets.append((chosen, wmask & ~chosen))
-
     out = {}
     for state, value in states.items():
-        touched = 0
-        for cm, _ in state:
+        touched = bound = 0
+        for cm, rm in state:
             touched |= cm
-        hit = [cls for cls in state if cls[0] & wmask]
-        for chosen, rest in subsets:
-            merged = chosen & ~touched
-            reach = 0
-            for cm, rm in hit:
-                if cm & chosen:
-                    merged |= cm
-                    reach |= rm
-            # merging two classes where one reaches the other closes a cycle;
-            # an unchosen coordinate inside the merged class is a loop
-            if reach & merged or rest & merged:
-                continue
-            for cm, rm in hit:
-                if cm & rest:
-                    if rm & merged:
-                        break  # the new edge closes a cycle
-                    reach |= cm | rm
-            else:
-                fresh = rest & ~touched
-                reach |= fresh
-                retired = 0
-                new = []
-                for cm, rm in state:
-                    if cm & merged:
-                        continue
-                    if rm & merged:
-                        rm |= merged | reach
-                    if cm & live:
-                        new.append((cm & live, rm & live))
-                    else:
-                        retired += 1
-                for cm, rm in ((merged, reach), *((b, 0) for b in _bits(fresh))):
-                    if cm & live:
-                        new.append((cm & live, rm & live))
-                    else:
-                        retired += 1
-                key = tuple(sorted(new))
-                out[key] = out.get(key, 0) + (value << retired * width)
+            if cm & wmask:
+                bound |= rm
+        classes = [*state, *((b, 0) for b in _bits(wmask & ~touched))]
+        unions = [0]
+        for cm, _ in classes:
+            if cm & wmask and not cm & bound:
+                unions += [u | cm for u in unions]
+        for merged in unions[1:]:
+            reach = bound | (unions[-1] ^ merged)
+            retired = 0
+            new = []
+            for cm, rm in ((merged, reach), *(c for c in classes if not c[0] & merged)):
+                if rm & merged:
+                    rm |= merged | reach
+                if cm & live:
+                    new.append((cm & live, rm & live))
+                else:
+                    retired += 1
+            key = tuple(sorted(new))
+            out[key] = out.get(key, 0) + (value << retired * width)
     return out
 
 
@@ -133,8 +126,10 @@ def fvector(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVector:
     """Nonempty faces by dimension, by DP over the windows.
 
     Equals `oracle.enumerate_faces(family)`.  The budget bounds the
-    (state, chosen set) pairs examined: BudgetExceededError is raised before
-    a window whose step would take the running total over it.
+    (state, chosen set) pairs the windows offer, 2^|w| - 1 per state: an
+    upper bound on the children `_step` makes, since it makes only the valid
+    ones.  BudgetExceededError is raised before a window whose step would
+    take the running total over it.
     """
     if budget < 1:
         raise InvalidParamsError(f"budget must be >= 1, got {budget}")

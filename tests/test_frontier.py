@@ -68,6 +68,14 @@ def test_grid3xn_window_order_keeps_the_frontier_small():
     assert fv.facet_count() == 480
 
 
+def test_window_order_does_not_depend_on_the_transpose():
+    # ties broken by index alone sweep 4x8 along its short axis and pass a
+    # million states; the tie-breaks make it peak with 8x4, at 333 states
+    tall = windows_from_layer(PoolingLayer(2, (8, 4), (2, 2), 1))
+    wide = windows_from_layer(PoolingLayer(2, (4, 8), (2, 2), 1))
+    assert frontier.fvector(wide, budget=10**6) == frontier.fvector(tall)
+
+
 def test_euler_relation_and_independent_routes_426():
     n, k, s = 6, 4, 2
     fv = frontier.fvector(windows_1d(n, k, s))
