@@ -74,27 +74,6 @@ class ConeDescription(namedtuple("ConeDescription", "ambient equalities inequali
     __slots__ = ()
 
 
-def _union_find_classes(d, chosen):
-    parent = list(range(d))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for c in chosen:
-        it = iter(c)
-        r0 = find(next(it))
-        for b in it:
-            rb = find(b)
-            if rb != r0:
-                if rb < r0:
-                    r0, rb = rb, r0
-                parent[rb] = r0
-    return find
-
-
 def _acyclic(edges):
     from graphlib import CycleError, TopologicalSorter
 
@@ -110,20 +89,25 @@ def _acyclic(edges):
 
 def build_selection_graph(sel: FaceSelection) -> SelectionGraph:
     """Compute the class partition, class graph, and acyclicity of a selection."""
-    d = sel.family.ambient_size
-    find = _union_find_classes(d, sel.chosen)
+    # rep[a] is the least coordinate of a's class; a chosen set meeting
+    # several classes relabels them all to the least of them
+    rep = list(range(sel.family.ambient_size))
+    for c in sel.chosen:
+        hit = {rep[a] for a in c}
+        if len(hit) > 1:
+            least = min(hit)
+            rep = [least if r in hit else r for r in rep]
 
     members: dict[int, list[int]] = {}
-    for a in range(d):
-        members.setdefault(find(a), []).append(a)
-    reps = sorted(members)
-    index_of = {r: i for i, r in enumerate(reps)}
-    classes = tuple(frozenset(members[r]) for r in reps)
+    for a, r in enumerate(rep):  # a class shows first at its least coordinate
+        members.setdefault(r, []).append(a)
+    index_of = {r: i for i, r in enumerate(members)}
+    classes = tuple(map(frozenset, members.values()))
 
     edges = set()
     for c, w in zip(sel.chosen, sel.family.windows):
-        src = index_of[find(min(c))]
-        edges.update((src, index_of[find(b)]) for b in w - c)
+        src = index_of[rep[min(c)]]
+        edges.update((src, index_of[rep[b]]) for b in w - c)
     return SelectionGraph(classes=classes, edges=frozenset(edges), acyclic=_acyclic(edges))
 
 
@@ -132,19 +116,22 @@ def is_face(sel: FaceSelection) -> bool:
     return build_selection_graph(sel).acyclic
 
 
-def face_dimension(sel: FaceSelection) -> int:
-    """Dimension of the face: ambient size minus the number of classes."""
+def _face_graph(sel):
+    """The selection graph, or NotAFaceError when it has a directed cycle."""
     graph = build_selection_graph(sel)
     if not graph.acyclic:
         raise NotAFaceError("selection graph has a directed cycle")
-    return sel.family.ambient_size - len(graph.classes)
+    return graph
+
+
+def face_dimension(sel: FaceSelection) -> int:
+    """Dimension of the face: ambient size minus the number of classes."""
+    return sel.family.ambient_size - len(_face_graph(sel).classes)
 
 
 def normal_cone(sel: FaceSelection) -> ConeDescription:
     """Equality/inequality description of the face's normal cone."""
-    graph = build_selection_graph(sel)
-    if not graph.acyclic:
-        raise NotAFaceError("selection graph has a directed cycle")
+    graph = _face_graph(sel)
     equalities = []
     for cls in graph.classes:
         elems = sorted(cls)

@@ -21,18 +21,12 @@ class HRow(namedtuple("HRow", "coeffs rhs sense label")):
 
     __slots__ = ()
 
-    def satisfied_by(self, point) -> bool:
-        return self.holds_at(sum(c * x for c, x in zip(self.coeffs, point)))
-
     def holds_at(self, v) -> bool:
         if self.sense == "<=":
             return v <= self.rhs
         if self.sense == ">=":
             return v >= self.rhs
         return v == self.rhs
-
-    def tight_at(self, point) -> bool:
-        return sum(c * x for c, x in zip(self.coeffs, point)) == self.rhs
 
 
 class HRep(namedtuple("HRep", "ambient equalities inequalities")):
@@ -62,6 +56,13 @@ def vertex_points(ambient: int, words) -> list[tuple[int, ...]]:
             p[a] += 1
         points.append(tuple(p))
     return points
+
+
+def word_values(row: HRow, words) -> list[int]:
+    """coeffs . point at each vertex word's point: coordinate a counts the
+    letters equal to a, so the value sums the coefficients over the letters."""
+    coeff = row.coeffs.__getitem__
+    return [sum(map(coeff, w)) for w in words]
 
 
 def _check_params(what, n, k, s):
@@ -135,11 +136,10 @@ def printed_description_diff(n: int, k: int, s: int, budget: int = DEFAULT_BUDGE
     """Machine comparison of the printed description against the derived one.
 
     Each printed row is evaluated on every vertex word of the oracle walk
-    (coordinate a of the point counts the letters equal to a, so coeffs .
-    point sums coeffs over the letters) and its violations are counted, with
-    an example point.  `budget` bounds the walk and the scan together: the
-    walk gets budget // (rows x K) candidates, at least one, an upper bound
-    on a vertex's reads.  Bad parameters raise before the walk starts.
+    (`word_values`) and its violations are counted, with an example point.
+    `budget` bounds the walk and the scan together: the walk gets
+    budget // (rows x K) candidates, at least one, an upper bound on a
+    vertex's reads.  Bad parameters raise before the walk starts.
     """
     printed = printed_rows(n, k, s)
     K = s * (n - 1) + k
@@ -151,8 +151,7 @@ def printed_description_diff(n: int, k: int, s: int, budget: int = DEFAULT_BUDGE
 
     entries = []
     for row in printed:
-        coeff = row.coeffs.__getitem__
-        bad = [w for w in words if not row.holds_at(sum(map(coeff, w)))]
+        bad = [w for w, v in zip(words, word_values(row, words)) if not row.holds_at(v)]
         twin = derived_by_label.get(row.label)
         entries.append(
             {

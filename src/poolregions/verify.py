@@ -221,19 +221,20 @@ def check_facets(full=True):
                     _fail("facets", f"(n={n},k={k},s={s}) frontier {dp.counts} != oracle {fv.counts}")
                 checked += 1
                 hrep = facets1d.h_representation(n, k, s)
-                points = facets1d.vertex_points(fam.ambient_size, oracle.enumerate_vertices(fam))
+                words = oracle.enumerate_vertices(fam)
                 for row in hrep.rows():
-                    if not all(row.satisfied_by(p) for p in points):
+                    if not all(map(row.holds_at, facets1d.word_values(row, words))):
                         _fail("facets", f"(n={n},k={k},s={s}) row {row.label} unsound")
                 if len(hrep.inequalities) != formula:
                     _fail("facets", f"(n={n},k={k},s={s}) row count != formula")
                 for row in hrep.inequalities:
-                    tight = [p for p in points if row.tight_at(p)]
+                    values = facets1d.word_values(row, words)
+                    tight = [w for w, v in zip(words, values) if v == row.rhs]
                     if not tight:
                         _fail("facets", f"(n={n},k={k},s={s}) row {row.label} never tight")
-                    diffs = [
-                        [a - b for a, b in zip(p, tight[0])] for p in tight[1:]
-                    ]
+                    # dense points only for the rank certificate
+                    p0, *rest = facets1d.vertex_points(fam.ambient_size, tight)
+                    diffs = [[a - b for a, b in zip(p, p0)] for p in rest]
                     if int_rank(diffs) != fam.ambient_size - 2:
                         _fail(
                             "facets",

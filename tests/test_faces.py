@@ -14,7 +14,7 @@ from poolregions.faces import (
     normal_cone,
     selection_from_word,
 )
-from poolregions.model import PoolingLayer, windows_1d, windows_3xn, windows_from_layer
+from poolregions.model import PoolingLayer, WindowFamily, windows_1d, windows_3xn, windows_from_layer
 
 
 def grid_3x3():
@@ -249,8 +249,6 @@ def test_restriction_monotone(data):
     keep = data.draw(st.sets(st.integers(min_value=0, max_value=3), min_size=1))
     sub_windows = tuple(fam.windows[i] for i in sorted(keep))
     sub_chosen = tuple(sel.chosen[i] for i in sorted(keep))
-    from poolregions.model import WindowFamily
-
     sub_fam = WindowFamily(fam.ambient_size, sub_windows)
     assert is_face(FaceSelection(sub_fam, sub_chosen))
 
@@ -270,3 +268,24 @@ def test_graph_edges_match_definition():
                 for b in window - chosen:
                     expected.add((cls_of[a], cls_of[b]))
         assert set(g.edges) == expected
+
+
+@st.composite
+def selections(draw):
+    # families as in test_oracle (d <= 7, at most 4 windows, gaps allowed),
+    # then one nonempty chosen subset per window
+    d = draw(st.integers(1, 7))
+    window = st.frozensets(st.integers(0, d - 1), min_size=1, max_size=d)
+    windows = draw(st.lists(window, min_size=1, max_size=4))
+    chosen = [draw(st.frozensets(st.sampled_from(sorted(w)), min_size=1)) for w in windows]
+    return FaceSelection(WindowFamily(d, tuple(windows)), chosen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(selections())
+def test_classes_are_the_merged_parts(sel):
+    # merge every chosen set with all the parts it meets, one set at a time
+    parts = [frozenset((a,)) for a in range(sel.family.ambient_size)]
+    for c in sel.chosen:
+        parts = [p for p in parts if not p & c] + [frozenset().union(*(p for p in parts if p & c))]
+    assert build_selection_graph(sel).classes == tuple(sorted(parts, key=min))

@@ -6,9 +6,8 @@ from poolregions.model import windows_1d
 from poolregions.polyalg import int_rank
 
 
-def vertex_points(n, k, s):
-    fam = windows_1d(n, k, s)
-    return facets1d.vertex_points(fam.ambient_size, oracle.enumerate_vertices(fam))
+def vertex_words(n, k, s):
+    return oracle.enumerate_vertices(windows_1d(n, k, s))
 
 
 def test_formula_values():
@@ -66,13 +65,14 @@ def test_hrep_rejects_low_dimension():
 )
 def test_hrep_sound_and_tight(n, k, s):
     rep = facets1d.h_representation(n, k, s)
-    points = vertex_points(n, k, s)
+    words = vertex_words(n, k, s)
     for row in rep.rows():
-        assert all(row.satisfied_by(p) for p in points), row.label
+        assert all(map(row.holds_at, facets1d.word_values(row, words))), row.label
     assert len(rep.inequalities) == facets1d.facet_count_formula(n, k, s)
     K = rep.ambient
     for row in rep.inequalities:
-        tight = [p for p in points if row.tight_at(p)]
+        values = facets1d.word_values(row, words)
+        tight = facets1d.vertex_points(K, [w for w, v in zip(words, values) if v == row.rhs])
         assert tight, row.label
         diffs = [[a - b for a, b in zip(p, tight[0])] for p in tight[1:]]
         assert int_rank(diffs) == K - 2, row.label
@@ -108,5 +108,16 @@ def test_diff_report_shows_violations():
 def test_derived_rows_never_violated():
     for n, k, s in [(2, 3, 1), (3, 4, 2), (2, 3, 2)]:
         rep = facets1d.h_representation(n, k, s)
-        pts = vertex_points(n, k, s)
-        assert all(row.satisfied_by(p) for row in rep.rows() for p in pts)
+        words = vertex_words(n, k, s)
+        assert all(row.holds_at(v) for row in rep.rows() for v in facets1d.word_values(row, words))
+
+
+@pytest.mark.parametrize("n,k,s", [(2, 3, 1), (3, 3, 2), (3, 4, 1), (2, 5, 3), (4, 2, 1)])
+def test_word_value_is_the_dense_dot_product(n, k, s):
+    # the one row evaluator reads words; the dense point is its definition
+    words = vertex_words(n, k, s)
+    rep = facets1d.h_representation(n, k, s)
+    points = facets1d.vertex_points(rep.ambient, words)
+    for row in rep.rows() + facets1d.printed_rows(n, k, s):
+        dense = [sum(c * x for c, x in zip(row.coeffs, p)) for p in points]
+        assert facets1d.word_values(row, words) == dense, row.label
