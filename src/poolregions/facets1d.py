@@ -14,6 +14,7 @@ from collections import namedtuple
 from .errors import InvalidParamsError
 from .model import windows_1d
 from .oracle import DEFAULT_BUDGET, enumerate_vertices
+from .polyalg import int_rank
 
 
 class HRow(namedtuple("HRow", "coeffs rhs sense label")):
@@ -63,6 +64,31 @@ def word_values(row: HRow, words) -> list[int]:
     letters equal to a, so the value sums the coefficients over the letters."""
     coeff = row.coeffs.__getitem__
     return [sum(map(coeff, w)) for w in words]
+
+
+def hrep_faults(rep: HRep, words, facets: int):
+    """Yield one reason for each way `rep` fails to be the minimal
+    description of the polytope whose vertex words are `words`.
+
+    A row is unsound when some word violates it; the inequality count must
+    be `facets`; each inequality must be tight at some word, and its tight
+    points must span an affine space of dimension ambient - 2, a facet of
+    the (ambient - 1)-dimensional polytope.  That last certificate is an
+    `int_rank` of differences of dense points, built for the tight words only.
+    """
+    for row in rep.rows():
+        if not all(map(row.holds_at, word_values(row, words))):
+            yield f"row {row.label} unsound"
+    if len(rep.inequalities) != facets:
+        yield "row count != formula"
+    for row in rep.inequalities:
+        tight = [w for w, v in zip(words, word_values(row, words)) if v == row.rhs]
+        if not tight:
+            yield f"row {row.label} never tight"
+            continue
+        p0, *rest = vertex_points(rep.ambient, tight)
+        if int_rank([[a - b for a, b in zip(p, p0)] for p in rest]) != rep.ambient - 2:
+            yield f"row {row.label} not facet-supporting"
 
 
 def _check_params(what, n, k, s):

@@ -247,50 +247,33 @@ def mat_power_entry(m: TransferMatrix, n: int, i: int, j: int) -> int:
     return vec_mat_power(e_i, m, n)[j]
 
 
-def _bareiss_pivots(rows):
-    """Fraction-free (Bareiss) elimination of an integer matrix.
+def int_rank(rows) -> int:
+    """Rank of an integer matrix, by fraction-free (Bareiss) elimination.
 
-    Returns the pivots and the sign of the row swaps.  Each column with a
-    nonzero entry on or below the current row gives one pivot, moved up by a
-    row swap when needed.  After the t-th pivot every entry below it is a
-    (t+1)-minor of the matrix, so the division by the previous pivot is
-    exact; the number of pivots is the rank, and the last pivot of a
-    nonsingular square matrix is its determinant up to the sign.
+    Each column with a nonzero entry on or below the current row gives one
+    pivot, moved up by a row swap when needed.  After the t-th pivot every
+    entry below it is a (t+1)-minor of the matrix, so the division by the
+    previous pivot is exact; the number of pivots is the rank.
     """
     a = [list(r) for r in rows]
-    pivots = []
-    sign = 1
+    rank = 0
     prev = 1
     for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        if r == len(a):
+        if rank == len(a):
             break
-        k = next((i for i in range(r, len(a)) if a[i][c]), None)
+        k = next((i for i in range(rank, len(a)) if a[i][c]), None)
         if k is None:
             continue
-        if k != r:
-            a[r], a[k] = a[k], a[r]
-            sign = -sign
-        pivot_row = a[r]
+        a[rank], a[k] = a[k], a[rank]
+        pivot_row = a[rank]
         pivot = pivot_row[c]
         tail = pivot_row[c + 1:]
-        for row in a[r + 1:]:
+        for row in a[rank + 1:]:
             f = row[c]
             row[c + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[c + 1:], tail)]
-        pivots.append(pivot)
+        rank += 1
         prev = pivot
-    return pivots, sign
-
-
-def _bareiss_det(rows):
-    """Fraction-free determinant of an integer matrix."""
-    pivots, sign = _bareiss_pivots(rows)
-    return sign * pivots[-1] if len(pivots) == len(rows) else 0
-
-
-def int_rank(rows) -> int:
-    """Rank of an integer matrix, by fraction-free elimination."""
-    return len(_bareiss_pivots(rows)[0])
+    return rank
 
 
 def det_poly(m: TransferMatrix) -> IntPoly:

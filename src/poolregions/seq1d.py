@@ -155,7 +155,7 @@ def closed_initial(m: int, k: int, s: int) -> int:
         raise RegimeNotCoveredError(f"need s | k and k >= 2s, got (k={k}, s={s})")
     r = k // s - 1
     if not 1 <= m <= r + 2:
-        raise IndexError(f"m must be in 1..{r + 2}")
+        raise InvalidParamsError(f"m must be in 1..{r + 2}")
     if m <= r + 1:
         return (s + 1) ** (m - 1) * ((m + 1) * s * (k - s - 1) + k + s * (s + 1))
     return (s + 1) ** (r + 1) * (
@@ -194,9 +194,9 @@ def count_1d(n: int, k: int, s: int, method: str = "matrix", budget: int = oracl
     raise InvalidParamsError(f"unknown method {method!r}")
 
 
-def growth_1d(k: int, s: int, tol: float = 1e-12) -> float:
+def growth_1d(k: int, s: int) -> float:
     """Exponential growth rate lim (1/n) log b_n, from the transfer matrix."""
-    rho = smallest_positive_root(det_poly(adjacency(k, s)), tol)
+    rho = smallest_positive_root(det_poly(adjacency(k, s)))
     return math.log(1 / rho)
 
 

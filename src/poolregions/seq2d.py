@@ -170,7 +170,7 @@ def class_counts(n: int, budget: int = oracle.DEFAULT_BUDGET) -> ClassCounts:
     return ClassCounts(n=n, counts=tuple(counts))
 
 
-def growth_2d(tol: float = 1e-12) -> float:
+def growth_2d() -> float:
     """Exponential growth rate lim (1/n) log V_n."""
-    rho = smallest_positive_root(gf_2d().den, tol)
+    rho = smallest_positive_root(gf_2d().den)
     return math.log(1 / rho)

@@ -25,7 +25,6 @@ from .polyalg import (
     det_poly,
     gf_equal,
     gf_from_matrix,
-    int_rank,
     one_plus_x_times,
     poly_mul,
     rational_gf,
@@ -222,24 +221,8 @@ def check_facets(full=True):
                 checked += 1
                 hrep = facets1d.h_representation(n, k, s)
                 words = oracle.enumerate_vertices(fam)
-                for row in hrep.rows():
-                    if not all(map(row.holds_at, facets1d.word_values(row, words))):
-                        _fail("facets", f"(n={n},k={k},s={s}) row {row.label} unsound")
-                if len(hrep.inequalities) != formula:
-                    _fail("facets", f"(n={n},k={k},s={s}) row count != formula")
-                for row in hrep.inequalities:
-                    values = facets1d.word_values(row, words)
-                    tight = [w for w, v in zip(words, values) if v == row.rhs]
-                    if not tight:
-                        _fail("facets", f"(n={n},k={k},s={s}) row {row.label} never tight")
-                    # dense points only for the rank certificate
-                    p0, *rest = facets1d.vertex_points(fam.ambient_size, tight)
-                    diffs = [[a - b for a, b in zip(p, p0)] for p in rest]
-                    if int_rank(diffs) != fam.ambient_size - 2:
-                        _fail(
-                            "facets",
-                            f"(n={n},k={k},s={s}) row {row.label} not facet-supporting",
-                        )
+                for fault in facets1d.hrep_faults(hrep, words, formula):
+                    _fail("facets", f"(n={n},k={k},s={s}) {fault}")
     report = facets1d.printed_description_diff(2, 3, 1)
     if report["rows_violated"] == 0:
         _fail("facets", "printed-description diff report shows no violations")
@@ -347,7 +330,7 @@ def check_asymptotics():
         det_poly(seq1d.adjacency(7, 4)),
         seq2d.gf_2d().den,
     ):
-        lo, hi = smallest_positive_root_bracket(p, 1e-12)
+        lo, hi = smallest_positive_root_bracket(p)
         if not (poly_eval(p, lo) > 0 >= poly_eval(p, hi)):
             _fail("asymptotics", f"bracket certificate fails for {p}")
     return "growth(3,1)~0.8096, growth_2d~2.3156, closed forms agree, brackets certified"

@@ -3,7 +3,6 @@ import pytest
 from poolregions import facets1d, oracle
 from poolregions.errors import InvalidParamsError
 from poolregions.model import windows_1d
-from poolregions.polyalg import int_rank
 
 
 def vertex_words(n, k, s):
@@ -65,17 +64,35 @@ def test_hrep_rejects_low_dimension():
 )
 def test_hrep_sound_and_tight(n, k, s):
     rep = facets1d.h_representation(n, k, s)
-    words = vertex_words(n, k, s)
-    for row in rep.rows():
-        assert all(map(row.holds_at, facets1d.word_values(row, words))), row.label
-    assert len(rep.inequalities) == facets1d.facet_count_formula(n, k, s)
-    K = rep.ambient
-    for row in rep.inequalities:
-        values = facets1d.word_values(row, words)
-        tight = facets1d.vertex_points(K, [w for w, v in zip(words, values) if v == row.rhs])
-        assert tight, row.label
-        diffs = [[a - b for a, b in zip(p, tight[0])] for p in tight[1:]]
-        assert int_rank(diffs) == K - 2, row.label
+    faults = facets1d.hrep_faults(rep, vertex_words(n, k, s), facets1d.facet_count_formula(n, k, s))
+    assert list(faults) == []
+
+
+def _prefix_rhs_moved(by):
+    def mutate(rows):
+        rows[0] = rows[0]._replace(rhs=rows[0].rhs + by)
+    return mutate
+
+
+def _last_row_is_overlap_point(rows):
+    # 2 = s is where windows 0 and 1 meet when k = s + 1: no facet
+    rows[-1] = facets1d.HRow((0, 0, 1, 0, 0, 0, 0), 0, ">=", "singleton 2")
+
+
+@pytest.mark.parametrize("mutate, faults", [
+    (_prefix_rhs_moved(-1), ["row prefix-union 0 unsound", "row prefix-union 0 not facet-supporting"]),
+    (_prefix_rhs_moved(+1), ["row prefix-union 0 never tight"]),
+    (_last_row_is_overlap_point, ["row singleton 2 not facet-supporting"]),
+    (list.pop, ["row count != formula"]),
+], ids=["rhs-lowered", "rhs-raised", "overlap-singleton", "row-dropped"])
+def test_hrep_faults_name_each_broken_row(mutate, faults):
+    rep = facets1d.h_representation(3, 3, 2)
+    rows = list(rep.inequalities)
+    assert rows[0].label == "prefix-union 0"
+    mutate(rows)
+    broken = rep._replace(inequalities=tuple(rows))
+    words = vertex_words(3, 3, 2)
+    assert list(facets1d.hrep_faults(broken, words, facets1d.facet_count_formula(3, 3, 2))) == faults
 
 
 def test_printed_rows_shape():
@@ -103,13 +120,6 @@ def test_diff_report_shows_violations():
     prefix = next(e for e in report["entries"] if e["label"] == "prefix-union 0")
     assert prefix["example_violating_vertex"] == (1, 1, 0, 0)
     assert prefix["printed"]["sense"] == ">=" and prefix["derived"]["sense"] == "<="
-
-
-def test_derived_rows_never_violated():
-    for n, k, s in [(2, 3, 1), (3, 4, 2), (2, 3, 2)]:
-        rep = facets1d.h_representation(n, k, s)
-        words = vertex_words(n, k, s)
-        assert all(row.holds_at(v) for row in rep.rows() for v in facets1d.word_values(row, words))
 
 
 @pytest.mark.parametrize("n,k,s", [(2, 3, 1), (3, 3, 2), (3, 4, 1), (2, 5, 3), (4, 2, 1)])

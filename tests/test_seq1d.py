@@ -184,7 +184,7 @@ def test_closed_initial_examples():
     assert seq1d.closed_initial(1, 4, 2) == 14  # b_2
     assert seq1d.closed_initial(2, 3, 1) == 16  # b_3
     assert seq1d.closed_initial(4, 3, 1) == 81  # b_5 via the r+2 formula
-    with pytest.raises(IndexError):
+    with pytest.raises(InvalidParamsError, match=r"m must be in 1\.\.4"):
         seq1d.closed_initial(5, 3, 1)
     with pytest.raises(RegimeNotCoveredError):
         seq1d.closed_initial(1, 5, 2)

@@ -193,6 +193,18 @@ def test_two_dim_proves_the_gf_identities(mutate, message, monkeypatch):
         verify.check_two_dim(False)
 
 
+def test_facets_certifies_the_h_representation(monkeypatch):
+    h_representation = facets1d.h_representation
+
+    def one_row_short(n, k, s):
+        rep = h_representation(n, k, s)
+        return rep._replace(inequalities=rep.inequalities[:-1])
+
+    monkeypatch.setattr(facets1d, "h_representation", one_row_short)
+    with pytest.raises(VerificationError, match=r"facets: \(n=1,k=2,s=1\) row count != formula"):
+        verify.check_facets(False)
+
+
 def test_golden_gf_cross_checks_the_halving_route(monkeypatch):
     _off_by_one(verify, "series_coeff", lambda gf, n: n == 3)(monkeypatch)
     with pytest.raises(VerificationError, match=r"golden-gf: series_coeff gives \[3, 7, 16, 37, 81\]"):
