@@ -201,8 +201,13 @@ def _cmd_regions(args):
     return EXIT_OK
 
 
+# the golden tables' rows are the k values, their columns n = 1, 2, ...
+_TABLE_KS = tuple(verify.EDGES_TABLE)
+_TABLE_NS = range(1, 1 + len(verify.EDGES_TABLE[_TABLE_KS[0]]))
+
+
 def _cmd_tables(args):
-    table = verify.face_tables((3, 4, 5, 6), args.nmax, args.budget)[args.kind]
+    table = verify.face_tables(_TABLE_KS, args.nmax, args.budget)[args.kind]
     rows = {str(k): [str(v) for v in values] for k, values in table.items()}
     if args.format == "csv":
         print("k\\n," + ",".join(str(n) for n in range(1, args.nmax + 1)))
@@ -275,7 +280,7 @@ COMMANDS = {
     )),
     "tables": ("reproduce the golden edge/total-face tables", _cmd_tables, (
         ("--kind", {"choices": ("edges", "total"), "required": True}),
-        ("--nmax", {"type": int, "default": 4, "choices": range(1, 6)}),
+        ("--nmax", {"type": int, "default": 4, "choices": _TABLE_NS}),
     )),
     "verify": ("run the self-verification suite", _cmd_verify,
                (("--level", {"choices": ("quick", "full"), "default": "quick"}),)),

@@ -20,8 +20,9 @@ class NotAFaceError(PoolRegionsError):
 class BudgetExceededError(PoolRegionsError):
     """A count would exceed its work budget.
 
-    The oracle walks budget the product of the per-window candidate counts;
-    the frontier DP budgets the (state, chosen set) pairs it examines.
+    The oracle walks budget the product of the per-window candidate counts
+    and take at most `oracle.MAX_WINDOWS` (500) windows; the frontier DP
+    budgets the (state, chosen set) pairs it examines.
     """
 
 

@@ -111,15 +111,12 @@ def windows_1d(n: int, k: int, s: int) -> WindowFamily:
 
 
 def windows_3xn(n: int) -> WindowFamily:
-    """The 2(n-1) two-by-two windows on the 3-row, n-column grid.
+    """The 2(n-1) two-by-two windows, stride 1, on the 3-row, n-column grid.
 
-    Cell (i, j) flattens row-major to i*n + j.  Windows are ordered with the
-    top row of placements first: (i=0, j=0..n-2) then (i=1, j=0..n-2).
+    The layer's family from `windows_from_layer`: cell (i, j) flattens
+    row-major to i*n + j, and the windows are ordered with the top row of
+    placements first, (i=0, j=0..n-2) then (i=1, j=0..n-2).
     """
     if n < 2:
         raise InvalidParamsError("need n >= 2 columns")
-    windows = []
-    for i in (0, 1):
-        for j in range(n - 1):
-            windows.append(frozenset((i + di) * n + (j + dj) for di in (0, 1) for dj in (0, 1)))
-    return WindowFamily(3 * n, tuple(windows))
+    return windows_from_layer(PoolingLayer(2, (3, n), (2, 2), 1))

@@ -49,6 +49,9 @@ from .faces import is_face, selection_from_word
 from .model import WindowFamily
 
 DEFAULT_BUDGET = 10**8
+# both walks recurse once per window; this stays well below Python's default
+# recursion limit of 1000
+MAX_WINDOWS = 500
 
 
 class FVector(namedtuple("FVector", "counts polytope_dim")):
@@ -66,6 +69,8 @@ class FVector(namedtuple("FVector", "counts polytope_dim")):
 def _check_budget(sizes, per_window, budget):
     if budget < 1:
         raise InvalidParamsError(f"budget must be >= 1, got {budget}")
+    if len(sizes) > MAX_WINDOWS:
+        raise BudgetExceededError(f"{len(sizes)} windows exceed the walk's bound of {MAX_WINDOWS}")
     total = 1
     for m in sizes:
         total *= per_window(m)

@@ -12,9 +12,9 @@ v . M^n squares M only while the exponent left exceeds p and finishes with
 at most p vector products, so the largest powers are never formed.  A
 single series coefficient comes from Bostan-Mori halving in O(log n)
 polynomial products; a prefix of coefficients from the denominator
-recurrence.  The least positive root is bracketed by bisection over dyadic
-points a/2^e held as the integers a, the sign of p there read from the
-integer 2^(e deg) p(a/2^e).  The root estimate is the one float, a
+recurrence.  The least positive root is bracketed by bisection over the
+dyadic points a/2^40 held as the integers a, the sign of p there read from
+the integer 2^(40 deg) p(a/2^40).  The root estimate is the one float, a
 correctly rounded integer division; only `smallest_positive_root_bracket`
 imports `fractions`, for its returned endpoints.  `RationalGF` and
 `TransferMatrix` are immutable named tuples, like every package record.
@@ -389,17 +389,20 @@ def series_coeff(gf: RationalGF, n: int) -> int:
     return c
 
 
+ROOT_GRID_BITS = 40  # a root bracket is one cell of the grid 2^-40 Z
+
+
 def _sign(value) -> int:
     return (value > 0) - (value < 0)
 
 
-def _sign_at(p, a, e) -> int:
-    """Sign of p at the dyadic point a / 2^e: the sign of 2^(e deg) p(a / 2^e)."""
+def _sign_at(p, a) -> int:
+    """Sign of p at a / 2^e, e = ROOT_GRID_BITS: the sign of 2^(e deg) p(a / 2^e)."""
     acc = 0
     shift = 0
     for c in reversed(p):
         acc = acc * a + (c << shift)
-        shift += e
+        shift += ROOT_GRID_BITS
     return _sign(acc)
 
 
@@ -436,74 +439,68 @@ def _count_variations(signs) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _variations(chain, a, e) -> int:
-    return _count_variations(_sign_at(t, a, e) for t in chain)
+def _variations(chain, a) -> int:
+    return _count_variations(_sign_at(t, a) for t in chain)
 
 
-def smallest_positive_root_bracket(p, tol=1e-12) -> tuple[Fraction, Fraction]:
-    """Certified bracket (lo, hi] around the least positive root, hi-lo <= tol.
+def smallest_positive_root_bracket(p) -> tuple[Fraction, Fraction]:
+    """Certified bracket (lo, hi] around the least positive root, hi-lo = 2^-40.
 
-    The endpoints are the `Fraction`s of the dyadic cell `_root_cell` finds.
+    The endpoints are the `Fraction`s of the grid cell `_root_cell` finds.
     """
     from fractions import Fraction
 
-    lo, hi, e = _root_cell(p, tol)
-    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
+    lo, hi = _root_cell(p)
+    return Fraction(lo, 1 << ROOT_GRID_BITS), Fraction(hi, 1 << ROOT_GRID_BITS)
 
 
-def _root_cell(p, tol):
-    """(lo, hi, e): the bracket (lo / 2^e, hi / 2^e] of the least positive root.
+def _root_cell(p):
+    """(lo, hi): the bracket (lo / 2^e, hi / 2^e] of the least positive root.
 
-    p(0) must be positive.  Every point is a dyadic a / 2^e, held as the
-    integer a, with e the least e >= 0 such that 2^-e <= tol; the sign of p
-    there is the sign of the integer 2^(e deg) p(a / 2^e).  The Sturm
-    sequence of p counts its distinct roots in any interval (a, b] as
-    V(a) - V(b), V being the number of sign variations; when V(+oo), read
-    from the leading coefficients, equals V(0), NoPositiveRootError is
-    raised.  hi starts at 1 and doubles until (0, hi] holds a root, Sturm
-    bisection narrows (lo, hi] until it holds exactly one distinct root with
-    p(hi) <= 0 (or is one unit wide), and bisection on the signs of p ends
-    it at one unit, so p(lo) > 0 >= p(hi) unless the least root has even
-    multiplicity.  The bracket is the aligned 2^-e cell that holds the
-    least root, exact and free of rounding.
+    p(0) must be positive.  Every point is a grid point a / 2^e, e =
+    ROOT_GRID_BITS, held as the integer a; `_sign_at` reads the sign of p
+    there.  The Sturm sequence of p counts its distinct roots in any
+    interval (a, b] as V(a) - V(b), V being the number of sign variations;
+    when V(+oo), read from the leading coefficients, equals V(0),
+    NoPositiveRootError is raised.  hi starts at 1 and doubles until (0, hi]
+    holds a root, Sturm bisection narrows (lo, hi] until it holds exactly
+    one distinct root with p(hi) <= 0 (or is one unit wide), and bisection
+    on the signs of p ends it at one unit, so p(lo) > 0 >= p(hi) unless the
+    least root has even multiplicity.  The bracket is the aligned 2^-e cell
+    that holds the least root, exact and free of rounding.
     """
     p = poly(p)
     if not p or p[0] <= 0:
         raise InvalidParamsError("need p(0) > 0")
-    if not tol > 0:
-        raise InvalidParamsError(f"root tolerance must be positive, got {tol!r}")
-    e = 0
-    while tol * (1 << e) < 1:
-        e += 1
     chain = _sturm_chain(p)
     v0 = _count_variations(_sign(t[0]) for t in chain)
     if _count_variations(_sign(t[-1]) for t in chain) == v0:
         raise NoPositiveRootError("Sturm count: no positive root")
 
     # invariant: no root in (0, lo], at least one in (lo, hi]
-    lo, hi = 0, 1 << e
-    v_hi = _variations(chain, hi, e)
+    lo, hi = 0, 1 << ROOT_GRID_BITS
+    v_hi = _variations(chain, hi)
     while v_hi == v0:
         lo, hi = hi, hi << 1
-        v_hi = _variations(chain, hi, e)
-    while hi - lo > 1 and (v0 - v_hi > 1 or _sign_at(p, hi, e) > 0):
+        v_hi = _variations(chain, hi)
+    while hi - lo > 1 and (v0 - v_hi > 1 or _sign_at(p, hi) > 0):
         mid = (lo + hi) >> 1
-        v_mid = _variations(chain, mid, e)
+        v_mid = _variations(chain, mid)
         if v_mid < v0:
             hi, v_hi = mid, v_mid
         else:
             lo = mid
     while hi - lo > 1:
         mid = (lo + hi) >> 1
-        if _sign_at(p, mid, e) <= 0:
+        if _sign_at(p, mid) <= 0:
             hi = mid
         else:
             lo = mid
-    return lo, hi, e
+    return lo, hi
 
 
-def smallest_positive_root(p, tol=1e-12) -> float:
-    """Least positive real root of p, to within +-tol: the midpoint of the
-    bracket, (lo + hi) / 2^(e+1) by correctly rounded integer division."""
-    lo, hi, e = _root_cell(p, tol)
-    return (lo + hi) / (1 << (e + 1))
+def smallest_positive_root(p) -> float:
+    """Least positive real root of p: the midpoint of its 2^-40 bracket,
+    (lo + hi) / 2^41 by correctly rounded integer division."""
+    lo, hi = _root_cell(p)
+    return (lo + hi) / (1 << (ROOT_GRID_BITS + 1))

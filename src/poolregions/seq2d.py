@@ -91,6 +91,7 @@ B6_ENTRIES: tuple[tuple[int, ...], ...] = (
     (2, 4, 1, 2, 4, 1),
     (2, 2, 1, 0, 1, 1),
 )
+B6_COUNT_ENTRY = (4, 5)  # entry (5, 6) above, zero-based
 
 COUNT_METHODS = ("oracle", "b6", "gf")
 
@@ -131,7 +132,7 @@ def count_2d(n: int, method: str = "b6", budget: int = oracle.DEFAULT_BUDGET) ->
     if method == "oracle":
         return oracle.count_vertices(windows_3xn(n), budget)
     if method == "b6":
-        return mat_power_entry(b6_matrix(), n, 4, 5)
+        return mat_power_entry(b6_matrix(), n, *B6_COUNT_ENTRY)
     if method == "gf":
         return series_coeff(gf_2d(), n)
     raise InvalidParamsError(f"unknown method {method!r}")

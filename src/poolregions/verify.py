@@ -188,7 +188,7 @@ def check_face_tables(full=True):
     The frontier DP fills the tables; the oracle walks every cell again and
     must agree with it.
     """
-    ks = (3, 4, 5, 6) if full else (3, 4)
+    ks = tuple(EDGES_TABLE) if full else (3, 4)
     nmax = 4 if full else 3
     tables = face_tables(ks, nmax, budget=10**10)
     for k in ks:
@@ -246,8 +246,9 @@ def check_two_dim(full=True):
     functions, so each holds for every n: B6's generating function is the
     closed gf_2d(), and the 2xn one is x plus x^2 times gf_1d(4, 2).
     """
-    left = tuple(int(i == 4) for i in range(6))
-    right = tuple(int(i == 5) for i in range(6))
+    i, j = seq2d.B6_COUNT_ENTRY
+    left = tuple(int(t == i) for t in range(6))
+    right = tuple(int(t == j) for t in range(6))
     if not gf_equal(seq2d.gf_2d(), gf_from_matrix(seq2d.b6_matrix(), left, right)):
         _fail("two-dim", "closed generating function disagrees with the 6x6 matrix")
     g = one_plus_x_times(seq1d.gf_1d(4, 2))

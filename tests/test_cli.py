@@ -317,6 +317,26 @@ def test_invalid_input_exit_code(capsys, argv):
     assert payload["error"] == expected
 
 
+@pytest.mark.parametrize("argv", [("fvector", "--grid3xn", "1"), ("total-faces", "--grid3xn", "0")])
+def test_grid3xn_below_two_columns_names_the_column_count(capsys, argv):
+    # the 3-row layer alone would reject n = 1 as a window wider than the input
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert payload == {"error": "InvalidParamsError", "detail": "need n >= 2 columns"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("vertices", "--k", "1", "--s", "1", "--n", "2000", "--method", "oracle"),
+    ("--budget", "1" + "0" * 800, "grid3xn", "--n", "600", "--class-counts"),
+])
+def test_oracle_walk_over_its_window_bound_is_budget_exceeded(capsys, argv):
+    # the candidate products fit these budgets, but the walks recurse once
+    # per window and would hit Python's recursion limit
+    code, payload = run_json(capsys, *argv)
+    assert code == 3
+    assert payload["error"] == "budget-exceeded"
+
+
 # one valid argv per command
 ONE_PER_COMMAND = {
     "vertices": ("--k", "3", "--s", "1", "--n", "4"),

@@ -15,6 +15,7 @@ from poolregions.faces import (
     selection_from_word,
 )
 from poolregions.model import PoolingLayer, WindowFamily, windows_1d, windows_3xn, windows_from_layer
+from strategies import families
 
 
 def grid_3x3():
@@ -272,13 +273,10 @@ def test_graph_edges_match_definition():
 
 @st.composite
 def selections(draw):
-    # families as in test_oracle (d <= 7, at most 4 windows, gaps allowed),
-    # then one nonempty chosen subset per window
-    d = draw(st.integers(1, 7))
-    window = st.frozensets(st.integers(0, d - 1), min_size=1, max_size=d)
-    windows = draw(st.lists(window, min_size=1, max_size=4))
-    chosen = [draw(st.frozensets(st.sampled_from(sorted(w)), min_size=1)) for w in windows]
-    return FaceSelection(WindowFamily(d, tuple(windows)), chosen)
+    # a random family, then one nonempty chosen subset per window
+    family = draw(families())
+    chosen = [draw(st.frozensets(st.sampled_from(sorted(w)), min_size=1)) for w in family.windows]
+    return FaceSelection(family, chosen)
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,13 +8,7 @@ from poolregions import facets1d, frontier, oracle, seq1d, seq2d
 from poolregions.errors import BudgetExceededError, InvalidParamsError
 from poolregions.model import PoolingLayer, WindowFamily, windows_1d, windows_3xn, windows_from_layer
 from poolregions.verify import EDGES_TABLE, Q_FACETS, TOTAL_FACES_TABLE, V_VALUES
-
-
-@st.composite
-def families(draw):
-    d = draw(st.integers(1, 7))
-    window = st.frozensets(st.integers(0, d - 1), min_size=1, max_size=d)
-    return WindowFamily(d, tuple(draw(st.lists(window, min_size=1, max_size=4))))
+from strategies import families
 
 
 @settings(max_examples=60, deadline=None)

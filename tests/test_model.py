@@ -81,9 +81,15 @@ def test_layer_3x2_matches_windows_3xn():
 
 
 def test_layer_3xn_matches_windows_3xn():
-    for n in (2, 3, 4):
+    # windows_3xn is the layer's family: placements with the top row first,
+    # cell (i, j) flattened to i*n + j
+    for n in range(2, 12):
         layer = PoolingLayer(2, (3, n), (2, 2), 1)
         assert windows_from_layer(layer) == windows_3xn(n)
+        assert windows_3xn(n) == WindowFamily(3 * n, tuple(
+            frozenset((i + di) * n + j + dj for di in (0, 1) for dj in (0, 1))
+            for i in (0, 1) for j in range(n - 1)
+        ))
 
 
 def test_layer_trims_unused_coordinates():

@@ -9,6 +9,7 @@ from poolregions import frontier, oracle
 from poolregions.errors import BudgetExceededError, TieDetectedError
 from poolregions.faces import FaceSelection, build_selection_graph, is_face, selection_from_word
 from poolregions.model import WindowFamily, windows_1d, windows_3xn
+from strategies import families
 
 
 def reference_fvector(family):
@@ -69,14 +70,6 @@ def test_count_vertices_matches_reference(family):
 
 
 @st.composite
-def families(draw, max_d=7, max_windows=4):
-    # as in test_frontier by default: d <= 7, at most 4 windows, gaps allowed
-    d = draw(st.integers(1, max_d))
-    window = st.frozensets(st.integers(0, d - 1), min_size=1, max_size=d)
-    return WindowFamily(d, tuple(draw(st.lists(window, min_size=1, max_size=max_windows))))
-
-
-@st.composite
 def families_with_merged_last_window(draw):
     # the last window holds an earlier window whole, so a choice of two or
     # more of that window's coordinates puts them in one group of the last
@@ -109,6 +102,18 @@ def test_face_walk_3x4():
     assert fv.total() == 258529
     assert fv.counts[0] == 1536
     assert (fv.polytope_dim, fv.facet_count()) == (11, 40)
+
+
+def test_walks_stop_at_their_window_bound():
+    # both walks recurse once per window; one window of one coordinate each
+    # makes a single vertex, the polytope's only face
+    at_bound = windows_1d(oracle.MAX_WINDOWS, 1, 1)
+    assert oracle.count_vertices(at_bound) == 1
+    assert oracle.enumerate_faces(at_bound).total() == 1
+    for n in (oracle.MAX_WINDOWS + 1, 2000):
+        for walk in (oracle.count_vertices, oracle.enumerate_vertices, oracle.enumerate_faces):
+            with pytest.raises(BudgetExceededError, match="windows exceed"):
+                walk(windows_1d(n, 1, 1))
 
 
 @pytest.mark.parametrize("family", SMALL_FAMILIES, ids=range(len(SMALL_FAMILIES)))
