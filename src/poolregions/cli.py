@@ -173,8 +173,8 @@ def _cmd_grid3xn(args):
     if args.class_counts:
         if args.method:
             raise InvalidParamsError("--class-counts excludes --method")
-        cc = seq2d.class_counts(args.n, budget=args.budget)
-        result = {"class_counts": [str(c) for c in cc.counts], "total": str(cc.total())}
+        counts = seq2d.class_counts(args.n, budget=args.budget)
+        result = {"class_counts": [str(c) for c in counts], "total": str(sum(counts))}
         _emit(args, "grid3xn", params, result, ["oracle"])
         return EXIT_OK
     if args.method:

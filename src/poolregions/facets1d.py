@@ -30,10 +30,15 @@ class HRow(namedtuple("HRow", "coeffs rhs sense label")):
         return v == self.rhs
 
 
-class HRep(namedtuple("HRep", "ambient equalities inequalities")):
+class HRep(namedtuple("HRep", "equalities inequalities")):
     """One affine-span equality plus one inequality per facet (tuples of HRow)."""
 
     __slots__ = ()
+
+    @property
+    def ambient(self) -> int:
+        """The number of coordinates: the length of every row's coeffs."""
+        return len(self.equalities[0].coeffs)
 
     def rows(self) -> tuple[HRow, ...]:
         return self.equalities + self.inequalities
@@ -133,7 +138,7 @@ def h_representation(n: int, k: int, s: int) -> HRep:
         if a in excluded:
             continue
         rows.append(HRow(_e([a], K), 0, ">=", f"singleton {a}"))
-    return HRep(ambient=K, equalities=equalities, inequalities=tuple(rows))
+    return HRep(equalities=equalities, inequalities=tuple(rows))
 
 
 def printed_rows(n: int, k: int, s: int) -> tuple[HRow, ...]:

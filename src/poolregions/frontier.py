@@ -162,4 +162,4 @@ def fvector(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVector:
         packed >>= width
         retired += 1
     counts = dict(sorted(counts.items()))
-    return FVector(counts=counts, polytope_dim=max(counts))
+    return FVector(counts=counts)

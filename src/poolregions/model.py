@@ -14,22 +14,20 @@ from collections import namedtuple
 from .errors import InvalidParamsError
 
 
-class PoolingLayer(namedtuple("PoolingLayer", "nu input_dims window_dims stride")):
+class PoolingLayer(namedtuple("PoolingLayer", "input_dims window_dims stride")):
     """A max-pooling layer: input extents, window extents, shared stride.
 
     `input_dims` and `window_dims` are tuples of one extent per array axis
-    (K_1..K_nu and k_1..k_nu); `stride` is a single scalar shared by all
-    axes.
+    (K_1..K_nu and k_1..k_nu, so nu is their common length); `stride` is a
+    single scalar shared by all axes.
     """
 
     __slots__ = ()
 
-    def __new__(cls, nu: int, input_dims, window_dims, stride: int):
+    def __new__(cls, input_dims, window_dims, stride: int):
         input_dims, window_dims = tuple(input_dims), tuple(window_dims)
-        if nu < 1:
-            raise InvalidParamsError("nu must be a positive integer")
-        if len(input_dims) != nu or len(window_dims) != nu:
-            raise InvalidParamsError("need exactly nu input and window extents")
+        if not input_dims or len(window_dims) != len(input_dims):
+            raise InvalidParamsError("need at least one axis and one window extent per input axis")
         if stride < 1:
             raise InvalidParamsError("stride must be >= 1")
         for K, k in zip(input_dims, window_dims):
@@ -37,7 +35,7 @@ class PoolingLayer(namedtuple("PoolingLayer", "nu input_dims window_dims stride"
                 raise InvalidParamsError("all extents must be >= 1")
             if k > K:
                 raise InvalidParamsError("window extent exceeds input extent")
-        return super().__new__(cls, nu, input_dims, window_dims, stride)
+        return super().__new__(cls, input_dims, window_dims, stride)
 
 
 class WindowFamily(namedtuple("WindowFamily", "ambient_size windows")):
@@ -81,15 +79,16 @@ def windows_from_layer(layer: PoolingLayer) -> WindowFamily:
     K = layer.input_dims
     k = layer.window_dims
     s = layer.stride
+    nu = len(K)
     # row-major flat index: last axis varies fastest
-    mult = [1] * layer.nu
-    for ax in range(layer.nu - 2, -1, -1):
+    mult = [1] * nu
+    for ax in range(nu - 2, -1, -1):
         mult[ax] = mult[ax + 1] * K[ax + 1]
 
-    placements = itertools.product(*[range((K[ax] - k[ax]) // s + 1) for ax in range(layer.nu)])
+    placements = itertools.product(*[range((K[ax] - k[ax]) // s + 1) for ax in range(nu)])
     raw = []
     for r in placements:
-        cells = itertools.product(*[range(s * r[ax], s * r[ax] + k[ax]) for ax in range(layer.nu)])
+        cells = itertools.product(*[range(s * r[ax], s * r[ax] + k[ax]) for ax in range(nu)])
         raw.append(frozenset(sum(c * m for c, m in zip(cell, mult)) for cell in cells))
 
     used = sorted(frozenset().union(*raw))
@@ -119,4 +118,4 @@ def windows_3xn(n: int) -> WindowFamily:
     """
     if n < 2:
         raise InvalidParamsError("need n >= 2 columns")
-    return windows_from_layer(PoolingLayer(2, (3, n), (2, 2), 1))
+    return windows_from_layer(PoolingLayer((3, n), (2, 2), 1))

@@ -54,10 +54,14 @@ DEFAULT_BUDGET = 10**8
 MAX_WINDOWS = 500
 
 
-class FVector(namedtuple("FVector", "counts polytope_dim")):
-    """Face counts by dimension (a dict); `polytope_dim` is the top nonzero dimension."""
+class FVector(namedtuple("FVector", "counts")):
+    """Face counts by dimension: a dict of the nonzero counts, top key `polytope_dim`."""
 
     __slots__ = ()
+
+    @property
+    def polytope_dim(self) -> int:
+        return max(self.counts)
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -206,8 +210,7 @@ def enumerate_faces(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVect
                 relabel(members[r], r)
 
     walk(0, d)
-    top = max(dim for dim, c in enumerate(counts) if c)
-    return FVector(counts={dim: c for dim, c in enumerate(counts) if c}, polytope_dim=top)
+    return FVector(counts={dim: c for dim, c in enumerate(counts) if c})
 
 
 # Nothing in the package calls these two.  They keep the names that the

@@ -178,21 +178,25 @@ def one_plus_x_times(gf: RationalGF) -> RationalGF:
     return rational_gf(poly_add(gf.den, poly_mul((0, 1), gf.num)), gf.den)
 
 
-class TransferMatrix(namedtuple("TransferMatrix", "size entries")):
+class TransferMatrix(namedtuple("TransferMatrix", "entries")):
     """Square matrix of nonnegative integers (walk-counting adjacency)."""
 
     __slots__ = ()
 
-    def __new__(cls, size: int, entries):
+    def __new__(cls, entries):
         entries = tuple(tuple(row) for row in entries)
-        if size < 1 or len(entries) != size:
-            raise InvalidParamsError("matrix must be square and nonempty")
+        if not entries:
+            raise InvalidParamsError("matrix must be nonempty")
         for row in entries:
-            if len(row) != size:
+            if len(row) != len(entries):
                 raise InvalidParamsError("matrix must be square")
             if any(x < 0 for x in row):
                 raise InvalidParamsError("entries must be nonnegative")
-        return super().__new__(cls, size, entries)
+        return super().__new__(cls, entries)
+
+    @property
+    def size(self) -> int:
+        return len(self.entries)
 
 
 def mat_vec(m: TransferMatrix, v):

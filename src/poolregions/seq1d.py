@@ -55,7 +55,7 @@ def adjacency(k: int, s: int) -> TransferMatrix:
         tuple(0 if _forbidden(a, b, k, s) else 1 for b in range(k))
         for a in range(k)
     )
-    return TransferMatrix(k, entries)
+    return TransferMatrix(entries)
 
 
 def is_vertex_word(word, k: int, s: int) -> bool:

@@ -25,7 +25,6 @@ they hold for every n.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from . import oracle, seq1d
 from .errors import InvalidParamsError
@@ -97,7 +96,7 @@ COUNT_METHODS = ("oracle", "b6", "gf")
 
 
 def b6_matrix() -> TransferMatrix:
-    return TransferMatrix(6, B6_ENTRIES)
+    return TransferMatrix(B6_ENTRIES)
 
 
 def derive_a14() -> TransferMatrix:
@@ -112,7 +111,7 @@ def derive_a14() -> TransferMatrix:
     entries = [[0] * 14 for _ in range(14)]
     for w in oracle.enumerate_vertices(windows_3xn(3)):
         entries[_PAIR_INDEX[_cells(w, 3, 1)]][_PAIR_INDEX[_cells(w, 3, 0)]] = 1
-    return TransferMatrix(14, tuple(map(tuple, entries)))
+    return TransferMatrix(entries)
 
 
 def gf_2d() -> RationalGF:
@@ -145,30 +144,20 @@ def count_2xn(n: int) -> int:
     return seq1d.count_1d(n - 1, 4, 2, method="matrix")
 
 
-class ClassCounts(namedtuple("ClassCounts", "n counts")):
+def class_counts(n: int, budget: int = oracle.DEFAULT_BUDGET) -> tuple[int, ...]:
     """Vertex counts of the width-n polytope keyed by rightmost column pair.
 
-    counts[i] is the number of vertices whose last two windows choose the
-    i-th canonical two-window vertex (0-indexed against Q2_VERTEX_PAIRS).
-    """
-
-    __slots__ = ()
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-def class_counts(n: int, budget: int = oracle.DEFAULT_BUDGET) -> ClassCounts:
-    """Classify every oracle vertex by its rightmost column-pair component.
-
-    The oracle budget bounds n; the default of 10**8 stops it at n = 8.
+    Entry i is the number of oracle vertices whose last two windows choose
+    the i-th canonical two-window vertex (0-indexed against Q2_VERTEX_PAIRS);
+    the 14 entries sum to V_n.  The oracle budget bounds n; the default of
+    10**8 stops it at n = 8.
     """
     if n < 2:
         raise InvalidParamsError("need n >= 2")
     counts = [0] * 14
     for w in oracle.enumerate_vertices(windows_3xn(n), budget):
         counts[_PAIR_INDEX[_cells(w, n, n - 2)]] += 1
-    return ClassCounts(n=n, counts=tuple(counts))
+    return tuple(counts)
 
 
 def growth_2d() -> float:

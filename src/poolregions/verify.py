@@ -292,7 +292,7 @@ def check_class_counts(full=True):
     """Per-class vertex counts: symmetry identities and the V_(n-1) positions."""
     top = 4 if full else 3
     for n in range(2, top + 1):
-        counts = seq2d.class_counts(n).counts
+        counts = seq2d.class_counts(n)
         pairs = ((0, 9), (1, 12), (10, 4), (3, 6))
         for a, b in pairs:
             if counts[a] != counts[b]:

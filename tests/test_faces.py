@@ -19,7 +19,7 @@ from strategies import families
 
 
 def grid_3x3():
-    return windows_from_layer(PoolingLayer(2, (3, 3), (2, 2), 1))
+    return windows_from_layer(PoolingLayer((3, 3), (2, 2), 1))
 
 
 def all_selections(family):

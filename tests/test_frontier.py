@@ -25,7 +25,7 @@ def layers(draw):
     nu = draw(st.integers(1, 2))
     input_dims = tuple(draw(st.integers(1, 4)) for _ in range(nu))
     window_dims = tuple(draw(st.integers(1, K)) for K in input_dims)
-    return PoolingLayer(nu, input_dims, window_dims, draw(st.integers(1, 2)))
+    return PoolingLayer(input_dims, window_dims, draw(st.integers(1, 2)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -65,8 +65,8 @@ def test_grid3xn_window_order_keeps_the_frontier_small():
 def test_window_order_does_not_depend_on_the_transpose():
     # ties broken by index alone sweep 4x8 along its short axis and pass a
     # million states; the tie-breaks make it peak with 8x4, at 333 states
-    tall = windows_from_layer(PoolingLayer(2, (8, 4), (2, 2), 1))
-    wide = windows_from_layer(PoolingLayer(2, (4, 8), (2, 2), 1))
+    tall = windows_from_layer(PoolingLayer((8, 4), (2, 2), 1))
+    wide = windows_from_layer(PoolingLayer((4, 8), (2, 2), 1))
     assert frontier.fvector(wide, budget=10**6) == frontier.fvector(tall)
 
 

@@ -71,20 +71,15 @@ def test_windows_3xn_layout():
 def test_layer_1d_matches_windows_1d():
     # whenever k >= s the window union has no gaps and trimming is a no-op
     for n, k, s in [(2, 3, 1), (3, 4, 2), (1, 5, 2), (4, 2, 2), (5, 2, 1)]:
-        layer = PoolingLayer(1, (s * (n - 1) + k,), (k,), s)
+        layer = PoolingLayer((s * (n - 1) + k,), (k,), s)
         assert windows_from_layer(layer) == windows_1d(n, k, s)
-
-
-def test_layer_3x2_matches_windows_3xn():
-    layer = PoolingLayer(2, (3, 2), (2, 2), 1)
-    assert windows_from_layer(layer) == windows_3xn(2)
 
 
 def test_layer_3xn_matches_windows_3xn():
     # windows_3xn is the layer's family: placements with the top row first,
     # cell (i, j) flattened to i*n + j
     for n in range(2, 12):
-        layer = PoolingLayer(2, (3, n), (2, 2), 1)
+        layer = PoolingLayer((3, n), (2, 2), 1)
         assert windows_from_layer(layer) == windows_3xn(n)
         assert windows_3xn(n) == WindowFamily(3 * n, tuple(
             frozenset((i + di) * n + j + dj for di in (0, 1) for dj in (0, 1))
@@ -94,7 +89,7 @@ def test_layer_3xn_matches_windows_3xn():
 
 def test_layer_trims_unused_coordinates():
     # a 1-D layer whose last coordinates no window reaches
-    layer = PoolingLayer(1, (6,), (3,), 2)  # placements r = 0, 1 cover {0..4}
+    layer = PoolingLayer((6,), (3,), 2)  # placements r = 0, 1 cover {0..4}
     fam = windows_from_layer(layer)
     assert fam.ambient_size == 5
     assert fam.covers_ambient
@@ -103,13 +98,13 @@ def test_layer_trims_unused_coordinates():
 
 def test_layer_validation():
     with pytest.raises(InvalidParamsError):
-        PoolingLayer(0, (), (), 1)
+        PoolingLayer((), (), 1)
     with pytest.raises(InvalidParamsError):
-        PoolingLayer(1, (3,), (4,), 1)
+        PoolingLayer((3,), (4,), 1)
     with pytest.raises(InvalidParamsError):
-        PoolingLayer(1, (3,), (2,), 0)
+        PoolingLayer((3,), (2,), 0)
     with pytest.raises(InvalidParamsError):
-        PoolingLayer(2, (3,), (2, 2), 1)
+        PoolingLayer((3,), (2, 2), 1)
 
 
 def test_window_family_validation():

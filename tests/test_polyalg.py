@@ -41,7 +41,7 @@ def transfer_matrices(max_size, max_entry):
         lambda p: st.lists(
             st.lists(st.integers(0, max_entry), min_size=p, max_size=p),
             min_size=p, max_size=p,
-        ).map(lambda rows: TransferMatrix(p, rows))
+        ).map(TransferMatrix)
     )
 
 
@@ -55,11 +55,11 @@ def test_poly_canonical():
 
 
 def test_det_poly_small():
-    ident = TransferMatrix(2, ((1, 0), (0, 1)))
+    ident = TransferMatrix(((1, 0), (0, 1)))
     assert det_poly(ident) == (1, -2, 1)
-    ones = TransferMatrix(2, ((1, 1), (1, 1)))
+    ones = TransferMatrix(((1, 1), (1, 1)))
     assert det_poly(ones) == (1, -2)
-    walk = TransferMatrix(3, ((1, 1, 1), (1, 0, 1), (0, 1, 1)))
+    walk = TransferMatrix(((1, 1, 1), (1, 0, 1), (0, 1, 1)))
     assert det_poly(walk) == (1, -2, -1, 1)
 
 
@@ -67,9 +67,7 @@ def test_det_poly_matches_scalar_determinant():
     rng = random.Random(42)
     for _ in range(20):
         p = rng.randint(1, 4)
-        m = TransferMatrix(
-            p, tuple(tuple(rng.randint(0, 3) for _ in range(p)) for _ in range(p))
-        )
+        m = TransferMatrix(tuple(tuple(rng.randint(0, 3) for _ in range(p)) for _ in range(p)))
         dp = det_poly(m)
         for x0 in (Fraction(1, 3), Fraction(-2, 5), 2):
             rows = sympy.Matrix(
@@ -87,9 +85,7 @@ def test_det_poly_matches_sympy_charpoly():
     rng = random.Random(7)
     t = sympy.Symbol("t")
     for p in [*range(1, 13), *(rng.randint(1, 12) for _ in range(6))]:
-        m = TransferMatrix(
-            p, tuple(tuple(rng.randint(0, 5) for _ in range(p)) for _ in range(p))
-        )
+        m = TransferMatrix(tuple(tuple(rng.randint(0, 5) for _ in range(p)) for _ in range(p)))
         want = sympy.Matrix(m.entries).charpoly(t).all_coeffs()
         assert det_poly(m) == poly(int(c) for c in want)
 
@@ -187,15 +183,15 @@ def test_vec_mat_power_squares_only_while_the_exponent_exceeds_the_size(monkeypa
 
 
 def test_vec_mat_and_mat_vec_are_transposes():
-    m = TransferMatrix(3, ((1, 2, 0), (0, 1, 3), (4, 0, 1)))
-    mt = TransferMatrix(3, tuple(zip(*m.entries)))
+    m = TransferMatrix(((1, 2, 0), (0, 1, 3), (4, 0, 1)))
+    mt = TransferMatrix(zip(*m.entries))
     v = (2, -1, 5)
     assert vec_mat(v, m) == mat_vec(mt, v) == (22, 3, 2)
 
 
 def test_vec_mat_power_rejects_negative_exponent():
     with pytest.raises(InvalidParamsError):
-        vec_mat_power((1,), TransferMatrix(1, ((2,),)), -1)
+        vec_mat_power((1,), TransferMatrix(((2,),)), -1)
 
 
 @pytest.mark.parametrize("v", [(1, 1), (1, 1, 1, 1), ()], ids=["short", "long", "empty"])
@@ -263,7 +259,7 @@ def test_int_rank_small():
 
 
 def test_gf_from_matrix_geometric():
-    g = gf_from_matrix(TransferMatrix(1, ((1,),)), (1,), (1,))
+    g = gf_from_matrix(TransferMatrix(((1,),)), (1,), (1,))
     assert (g.num, g.den) == ((1,), (1, -1))
     assert series_coeffs(g, 5) == [1] * 6
 
@@ -272,9 +268,7 @@ def test_gf_from_matrix_matches_matrix_powers():
     rng = random.Random(3)
     for _ in range(12):
         p = rng.randint(1, 4)
-        m = TransferMatrix(
-            p, tuple(tuple(rng.randint(0, 2) for _ in range(p)) for _ in range(p))
-        )
+        m = TransferMatrix(tuple(tuple(rng.randint(0, 2) for _ in range(p)) for _ in range(p)))
         left = tuple(rng.randint(0, 2) for _ in range(p))
         right = tuple(rng.randint(0, 2) for _ in range(p))
         g = gf_from_matrix(m, left, right)
@@ -300,7 +294,7 @@ def test_gf_from_matrix_makes_size_minus_one_products(monkeypatch):
         assert calls == [k] * (k - 1)
         assert series_coeffs(g, 2 * k) == [seq1d.count_1d(n + 1, k, s) for n in range(2 * k + 1)]
     calls.clear()
-    gf_from_matrix(TransferMatrix(1, ((3,),)), (1,), (1,))
+    gf_from_matrix(TransferMatrix(((3,),)), (1,), (1,))
     assert calls == []
 
 
@@ -310,9 +304,7 @@ def test_gf_cofactor_identity():
     rng = random.Random(11)
     for _ in range(6):
         p = rng.randint(2, 4)
-        m = TransferMatrix(
-            p, tuple(tuple(rng.randint(0, 2) for _ in range(p)) for _ in range(p))
-        )
+        m = TransferMatrix(tuple(tuple(rng.randint(0, 2) for _ in range(p)) for _ in range(p)))
         g = gf_from_matrix(m, (1,) * p, (1,) * p)
         big = sympy.eye(p) - x * sympy.Matrix(m.entries)
         num = sympy.expand(
@@ -458,7 +450,7 @@ def test_det_poly_cache_matches_a_fresh_recurrence():
     for k, s in ((3, 1), (7, 4), (16, 5)):
         m = seq1d.adjacency(k, s)
         assert det_poly(m) == polyalg._det_poly.__wrapped__(m.entries)
-        assert det_poly(m) is det_poly(TransferMatrix(k, m.entries))
+        assert det_poly(m) is det_poly(TransferMatrix(m.entries))
 
 
 def test_algebra_queries_of_one_pair_compute_det_poly_once(capsys):
@@ -601,12 +593,12 @@ def test_root_bracket_holds_least_positive_root(linear, quadratic):
 
 
 def test_mat_power_entry():
-    m = TransferMatrix(2, ((1, 1), (0, 1)))
+    m = TransferMatrix(((1, 1), (0, 1)))
     assert mat_power_entry(m, 5, 0, 1) == 5
     assert mat_power_entry(m, 0, 0, 0) == 1
     assert mat_power_entry(m, 0, 0, 1) == 0
     # the zeroth power is the identity, the first is M itself
-    m = TransferMatrix(3, ((2, 1, 0), (0, 3, 1), (5, 0, 1)))
+    m = TransferMatrix(((2, 1, 0), (0, 3, 1), (5, 0, 1)))
     assert [[mat_power_entry(m, 0, i, j) for j in range(3)] for i in range(3)] == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]
     ]
@@ -617,6 +609,6 @@ def test_mat_power_entry():
 
 def test_transfer_matrix_validation():
     with pytest.raises(InvalidParamsError):
-        TransferMatrix(2, ((1, 1),))
+        TransferMatrix(((1, 1),))
     with pytest.raises(InvalidParamsError):
-        TransferMatrix(1, ((-1,),))
+        TransferMatrix(((-1,),))

@@ -2,11 +2,11 @@
 
 import pytest
 
-from poolregions import frontier, seq2d
+from poolregions import frontier, oracle, seq2d
 from poolregions.errors import InvalidParamsError, InvalidSelectionError
 from poolregions.faces import FaceSelection, build_selection_graph, normal_cone, selection_from_word
-from poolregions.facets1d import h_representation
-from poolregions.model import PoolingLayer, WindowFamily, windows_1d
+from poolregions.facets1d import HRep, h_representation
+from poolregions.model import PoolingLayer, WindowFamily, windows_1d, windows_3xn
 from poolregions.polyalg import TransferMatrix, rational_gf
 from poolregions.seq1d import adjacency, gf_closed
 
@@ -20,13 +20,12 @@ RECORDS = {
     "ConeDescription": normal_cone(VERTEX),
     "HRow": HREP.inequalities[0],
     "HRep": HREP,
-    "PoolingLayer": PoolingLayer(2, (3, 3), (2, 2), 1),
+    "PoolingLayer": PoolingLayer((3, 3), (2, 2), 1),
     "WindowFamily": FAMILY,
     "FVector": frontier.fvector(FAMILY),
     "RationalGF": rational_gf((1,), (1, -2)),
     "TransferMatrix": adjacency(3, 1),
     "ClosedForm": gf_closed(4, 2),
-    "ClassCounts": seq2d.ClassCounts(2, (1,) * 14),
 }
 
 
@@ -45,10 +44,10 @@ def test_record_is_immutable(name):
 VALIDATED = [
     (lambda: FaceSelection(FAMILY, [[0, 1], [3]]),
      lambda: FaceSelection(FAMILY, (frozenset({0, 1}), frozenset({3})))),
-    (lambda: PoolingLayer(2, [3, 4], [2, 2], 1), lambda: PoolingLayer(2, (3, 4), (2, 2), 1)),
+    (lambda: PoolingLayer([3, 4], [2, 2], 1), lambda: PoolingLayer((3, 4), (2, 2), 1)),
     (lambda: WindowFamily(3, [[0, 1], [1, 2]]),
      lambda: WindowFamily(3, (frozenset({0, 1}), frozenset({1, 2})))),
-    (lambda: TransferMatrix(2, [[1, 0], [2, 1]]), lambda: TransferMatrix(2, ((1, 0), (2, 1)))),
+    (lambda: TransferMatrix([[1, 0], [2, 1]]), lambda: TransferMatrix(((1, 0), (2, 1)))),
 ]
 
 
@@ -66,13 +65,34 @@ def test_validated_record_normalises_inputs(from_lists, from_tuples):
     (lambda: FaceSelection(FAMILY, [[0]]), InvalidSelectionError),
     (lambda: FaceSelection(FAMILY, [[0], []]), InvalidSelectionError),
     (lambda: FaceSelection(FAMILY, [[0], [0]]), InvalidSelectionError),
-    (lambda: PoolingLayer(1, [3], [2, 2], 1), InvalidParamsError),
+    (lambda: PoolingLayer([3], [2, 2], 1), InvalidParamsError),
     (lambda: WindowFamily(3, [[0, 3]]), InvalidParamsError),
-    (lambda: TransferMatrix(0, []), InvalidParamsError),
-    (lambda: TransferMatrix(2, [[1, 0]]), InvalidParamsError),
-    (lambda: TransferMatrix(2, [[1, 0], [1]]), InvalidParamsError),
-    (lambda: TransferMatrix(2, [[1, 0], [-1, 1]]), InvalidParamsError),
+    (lambda: TransferMatrix([]), InvalidParamsError),
+    (lambda: TransferMatrix([[1, 0]]), InvalidParamsError),
+    (lambda: TransferMatrix([[1, 0], [1]]), InvalidParamsError),
+    (lambda: TransferMatrix([[1, 0], [-1, 1]]), InvalidParamsError),
 ])
 def test_validated_record_rejects_bad_input(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_records_store_only_independent_fields():
+    # a field another field fixes is computed where it is read
+    assert TransferMatrix._fields == ("entries",)
+    assert PoolingLayer._fields == ("input_dims", "window_dims", "stride")
+    assert oracle.FVector._fields == ("counts",)
+    assert HRep._fields == ("equalities", "inequalities")
+    assert not hasattr(seq2d, "ClassCounts")
+
+
+def test_derived_fields_read_their_source():
+    for m in (adjacency(5, 2), seq2d.b6_matrix()):
+        assert m.size == len(m.entries)
+    fam = windows_3xn(3)
+    for fv in (oracle.enumerate_faces(fam), frontier.fvector(fam)):
+        assert fv.polytope_dim == max(fv.counts) == 8
+    rep = h_representation(3, 4, 2)
+    assert {len(row.coeffs) for row in rep.rows()} == {rep.ambient} == {8}
+    counts = seq2d.class_counts(3)
+    assert type(counts) is tuple and len(counts) == 14 and sum(counts) == 150

@@ -269,7 +269,7 @@ def test_literal_index_range_would_fail_golden_gf():
         for a in range(k)
     )
     assert entries != seq1d.adjacency(k, s).entries
-    mutated = gf_from_matrix(TransferMatrix(k, entries), (1,) * k, (1,) * k)
+    mutated = gf_from_matrix(TransferMatrix(entries), (1,) * k, (1,) * k)
     assert series_coeffs(mutated, 4) != [3, 7, 16, 36, 81]
 
 

@@ -61,7 +61,7 @@ def test_face_tables_check_compares_frontier_with_oracle(monkeypatch):
 
     def one_edge_too_many(family, budget):
         fv = enumerate_faces(family, budget)
-        return FVector({**fv.counts, 1: fv.counts[1] + 1}, fv.polytope_dim)
+        return FVector({**fv.counts, 1: fv.counts[1] + 1})
 
     monkeypatch.setattr(oracle, "enumerate_faces", one_edge_too_many)
     with pytest.raises(VerificationError, match=r"tables \(k=3,n=1\) edges: methods disagree: frontier=3, oracle=4"):
