@@ -3,8 +3,8 @@
 Every command prints a single JSON object by default (big integers as
 decimal strings, polynomials as coefficient-string lists) and exits 0 on
 success, 2 on invalid parameters, 3 on budget exhaustion, 4 on a
-verification failure.  `--format csv` emits key,value lines (or the table
-layout for `tables`).  Output is byte-stable for fixed inputs.
+verification failure.  `--format csv` emits key,value rows (the table for
+`tables`, a row per check for `verify`).  Output is byte-stable for fixed inputs.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ def _gf_json(gf: RationalGF):
     return {"num": _poly_strings(gf.num), "den": _poly_strings(gf.den)}
 
 
-def _emit(args, command, params, result, provenance):
+def _emit(args, params, result, provenance):
     payload = {
-        "command": command,
+        "command": args.command,
         "params": params,
         "result": result,
         "provenance": provenance,
@@ -49,23 +49,25 @@ def _emit(args, command, params, result, provenance):
     if args.format == "json":
         print(json.dumps(payload))
     else:
-        _emit_csv(payload)
+        rows = [("key", "value"), *_flat("result", result), ("provenance", ";".join(provenance))]
+        _print_csv(rows)
 
 
-def _emit_csv(payload):
-    def flat(prefix, value):
-        if isinstance(value, dict):
-            for k, v in value.items():
-                yield from flat(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(value, list):
-            yield prefix, ";".join(str(x) for x in value)
-        else:
-            yield prefix, value
+def _print_csv(rows):
+    import csv  # only the CSV path pays for the import
 
-    print("key,value")
-    for key, value in flat("result", payload["result"]):
-        print(f"{key},{value}")
-    print(f"provenance,{';'.join(payload['provenance'])}")
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+
+
+def _flat(prefix, value):
+    """(key, value) rows: nested containers get index keys, lists of scalars join with ';'."""
+    if not isinstance(value, (dict, list, tuple)):
+        yield prefix, value
+    elif isinstance(value, dict) or any(isinstance(x, (dict, list, tuple)) for x in value):
+        for k, v in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _flat(f"{prefix}.{k}", v)
+    else:
+        yield prefix, ";".join(map(str, value))
 
 
 def _family(args):
@@ -81,9 +83,8 @@ def _family(args):
 def _cmd_vertices(args):
     methods = [args.method] if args.method else seq1d.count_methods(args.k, args.s)
     values = {m: seq1d.count_1d(args.n, args.k, args.s, m, budget=args.budget) for m in methods}
-    value = verify.agreed_value("vertices", values)
-    _emit(args, "vertices", {"n": args.n, "k": args.k, "s": args.s}, str(value), sorted(values))
-    return EXIT_OK
+    value = verify.agreed_value(args.command, values)
+    _emit(args, {"n": args.n, "k": args.k, "s": args.s}, str(value), sorted(values))
 
 
 def _cmd_gf(args):
@@ -91,12 +92,11 @@ def _cmd_gf(args):
     if args.closed:
         closed = seq1d.gf_closed(args.k, args.s)
         result = {"gf": _gf_json(closed.gf), "series_form": "1 + sum b_n x^n"}
-        _emit(args, "gf", params, result, list(closed.regimes))
-        return EXIT_OK
+        _emit(args, params, result, list(closed.regimes))
+        return
     g = seq1d.gf_1d(args.k, args.s)
     result = {"gf": _gf_json(g), "series_form": "sum b_(n+1) x^n"}
-    _emit(args, "gf", params, result, ["matrix"])
-    return EXIT_OK
+    _emit(args, params, result, ["matrix"])
 
 
 def _cmd_fvector(args):
@@ -107,15 +107,13 @@ def _cmd_fvector(args):
         "polytope_dim": fv.polytope_dim,
         "total_nonempty": str(fv.total()),
     }
-    _emit(args, "fvector", params, result, ["frontier"])
-    return EXIT_OK
+    _emit(args, params, result, ["frontier"])
 
 
 def _cmd_total_faces(args):
     fam, params = _family(args)
     total = frontier.fvector(fam, budget=args.budget).total() + 1
-    _emit(args, "total-faces", params, str(total), ["frontier"])
-    return EXIT_OK
+    _emit(args, params, str(total), ["frontier"])
 
 
 def _cmd_facets(args):
@@ -124,8 +122,8 @@ def _cmd_facets(args):
         if args.hrep or args.oracle:
             raise InvalidParamsError("--paper-literal excludes --hrep and --oracle")
         report = facets1d.printed_description_diff(args.n, args.k, args.s, args.budget)
-        _emit(args, "facets", params, report, ["oracle", "derived"])
-        return EXIT_OK
+        _emit(args, params, report, ["oracle", "derived"])
+        return
     formula = facets1d.facet_count_formula(args.n, args.k, args.s)
     result = {"count": str(formula)}
     provenance = ["formula"]
@@ -138,10 +136,9 @@ def _cmd_facets(args):
         provenance.append("derived-hrep")
     if args.oracle:
         fv = frontier.fvector(windows_1d(args.n, args.k, args.s), budget=args.budget)
-        verify.agreed_value("facets", {"formula": formula, "frontier": fv.facet_count()})
+        verify.agreed_value(args.command, {"formula": formula, "frontier": fv.facet_count()})
         provenance.append("frontier")
-    _emit(args, "facets", params, result, provenance)
-    return EXIT_OK
+    _emit(args, params, result, provenance)
 
 
 def _cmd_growth(args):
@@ -149,8 +146,8 @@ def _cmd_growth(args):
         if args.k is not None or args.s is not None or args.large_strides:
             raise InvalidParamsError("--grid3xn excludes --k/--s and --large-strides")
         value = seq2d.growth_2d()
-        _emit(args, "growth", {"grid3xn": True}, repr(value), ["matrix-root"])
-        return EXIT_OK
+        _emit(args, {"grid3xn": True}, repr(value), ["matrix-root"])
+        return
     if args.k is None or args.s is None:
         raise InvalidParamsError("growth needs --k/--s or --grid3xn")
     params = {"k": args.k, "s": args.s}
@@ -163,9 +160,8 @@ def _cmd_growth(args):
             )
         closed = seq1d.growth_large_strides(args.k, args.s)
         provenance.append("closed-form")
-        verify.agreed_value("growth", {"matrix-root": value, "closed-form": closed}, tol=1e-9)
-    _emit(args, "growth", params, repr(value), provenance)
-    return EXIT_OK
+        verify.agreed_value(args.command, {"matrix-root": value, "closed-form": closed}, tol=1e-9)
+    _emit(args, params, repr(value), provenance)
 
 
 def _cmd_grid3xn(args):
@@ -175,21 +171,16 @@ def _cmd_grid3xn(args):
             raise InvalidParamsError("--class-counts excludes --method")
         counts = seq2d.class_counts(args.n, budget=args.budget)
         result = {"class_counts": [str(c) for c in counts], "total": str(sum(counts))}
-        _emit(args, "grid3xn", params, result, ["oracle"])
-        return EXIT_OK
-    if args.method:
-        methods = [args.method]
-    else:
-        methods = ("b6", "gf", "oracle") if args.n <= 4 else ("b6", "gf")
+        _emit(args, params, result, ["oracle"])
+        return
+    methods = [args.method] if args.method else seq2d.count_methods(args.n)
     values = {m: seq2d.count_2d(args.n, m, budget=args.budget) for m in methods}
-    value = verify.agreed_value("grid3xn", values)
-    _emit(args, "grid3xn", params, str(value), sorted(values))
-    return EXIT_OK
+    value = verify.agreed_value(args.command, values)
+    _emit(args, params, str(value), sorted(values))
 
 
 def _cmd_grid2xn(args):
-    _emit(args, "grid2xn", {"n": args.n}, str(seq2d.count_2xn(args.n)), ["matrix"])
-    return EXIT_OK
+    _emit(args, {"n": args.n}, str(seq2d.count_2xn(args.n)), ["matrix"])
 
 
 def _cmd_regions(args):
@@ -197,8 +188,7 @@ def _cmd_regions(args):
     params.update({"sample": args.sample, "seed": args.seed})
     distinct, all_faces = oracle.sample_regions(fam, args.sample, args.seed)
     result = {"distinct": str(distinct), "all_faces": all_faces}
-    _emit(args, "regions", params, result, ["sampling"])
-    return EXIT_OK
+    _emit(args, params, result, ["sampling"])
 
 
 # the golden tables' rows are the k values, their columns n = 1, 2, ...
@@ -210,12 +200,10 @@ def _cmd_tables(args):
     table = verify.face_tables(_TABLE_KS, args.nmax, args.budget)[args.kind]
     rows = {str(k): [str(v) for v in values] for k, values in table.items()}
     if args.format == "csv":
-        print("k\\n," + ",".join(str(n) for n in range(1, args.nmax + 1)))
-        for k, values in rows.items():
-            print(",".join([k, *values]))
+        header = ["k\\n", *range(1, args.nmax + 1)]
+        _print_csv([header] + [[k, *values] for k, values in rows.items()])
     else:
-        _emit(args, "tables", {"kind": args.kind, "nmax": args.nmax}, rows, ["frontier"])
-    return EXIT_OK
+        _emit(args, {"kind": args.kind, "nmax": args.nmax}, rows, ["frontier"])
 
 
 def _cmd_verify(args):
@@ -223,9 +211,9 @@ def _cmd_verify(args):
     if args.format == "json":
         print(json.dumps(report))
     else:
-        for check in report["checks"]:
-            print(f"{'PASS' if check['ok'] else 'FAIL'},{check['name']},{check['detail']}")
-    return EXIT_OK if report["ok"] else EXIT_VERIFY
+        _print_csv(("PASS" if c["ok"] else "FAIL", c["name"], c["detail"]) for c in report["checks"])
+    if not report["ok"]:
+        return EXIT_VERIFY
 
 
 # each flag is (name, add_argument keywords)
@@ -324,9 +312,8 @@ def main(argv=None) -> int:
     set_max_digits = getattr(sys, "set_int_max_str_digits", lambda _: None)
     set_max_digits(0)
     try:
-        if args.budget < 1:
-            raise InvalidParamsError(f"budget must be >= 1, got {args.budget}")
-        return args.func(args)
+        oracle.check_budget(args.budget)
+        return args.func(args) or EXIT_OK
     except BudgetExceededError as exc:
         print(json.dumps({"error": "budget-exceeded", "detail": str(exc)}))
         return EXIT_BUDGET

@@ -22,7 +22,9 @@ class BudgetExceededError(PoolRegionsError):
 
     The oracle walks budget the product of the per-window candidate counts
     and take at most `oracle.MAX_WINDOWS` (500) windows; the frontier DP
-    budgets the (state, chosen set) pairs it examines.
+    budgets the (state, chosen set) pairs it examines; the paper-literal
+    walk gets budget // (rows x K), what its row scan charges per vertex.
+    `oracle.check_budget` rejects a budget below 1 (InvalidParamsError).
     """
 
 

@@ -52,15 +52,28 @@ def full_selection(family: WindowFamily) -> FaceSelection:
     return FaceSelection(family, family.windows)
 
 
-class SelectionGraph(namedtuple("SelectionGraph", "classes edges acyclic")):
+class SelectionGraph(namedtuple("SelectionGraph", "classes edges")):
     """Class partition plus directed class graph of a selection.
 
     `classes` (a tuple of frozensets) are sorted by minimum element; `edges`
-    is a frozenset of ordered pairs of class indices (loops permitted);
-    `acyclic` tells whether the graph has no directed cycle.
+    is a frozenset of ordered pairs of class indices (loops permitted).
     """
 
     __slots__ = ()
+
+    @property
+    def acyclic(self) -> bool:
+        """Whether the graph has no directed cycle (a loop is one)."""
+        from graphlib import CycleError, TopologicalSorter
+
+        sorter = TopologicalSorter()
+        for src, dst in self.edges:
+            sorter.add(dst, src)
+        try:
+            sorter.prepare()
+        except CycleError:
+            return False
+        return True
 
 
 class ConeDescription(namedtuple("ConeDescription", "ambient equalities inequalities")):
@@ -74,21 +87,8 @@ class ConeDescription(namedtuple("ConeDescription", "ambient equalities inequali
     __slots__ = ()
 
 
-def _acyclic(edges):
-    from graphlib import CycleError, TopologicalSorter
-
-    sorter = TopologicalSorter()
-    for src, dst in edges:
-        sorter.add(dst, src)  # a loop (src == dst) is a cycle
-    try:
-        sorter.prepare()
-    except CycleError:
-        return False
-    return True
-
-
 def build_selection_graph(sel: FaceSelection) -> SelectionGraph:
-    """Compute the class partition, class graph, and acyclicity of a selection."""
+    """Compute the class partition and class graph of a selection."""
     # rep[a] is the least coordinate of a's class; a chosen set meeting
     # several classes relabels them all to the least of them
     rep = list(range(sel.family.ambient_size))
@@ -108,7 +108,7 @@ def build_selection_graph(sel: FaceSelection) -> SelectionGraph:
     for c, w in zip(sel.chosen, sel.family.windows):
         src = index_of[rep[min(c)]]
         edges.update((src, index_of[rep[b]]) for b in w - c)
-    return SelectionGraph(classes=classes, edges=frozenset(edges), acyclic=_acyclic(edges))
+    return SelectionGraph(classes=classes, edges=frozenset(edges))
 
 
 def is_face(sel: FaceSelection) -> bool:

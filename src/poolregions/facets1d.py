@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .errors import InvalidParamsError
 from .model import windows_1d
-from .oracle import DEFAULT_BUDGET, enumerate_vertices
+from .oracle import DEFAULT_BUDGET, check_budget, enumerate_vertices
 from .polyalg import int_rank
 
 
@@ -172,11 +172,10 @@ def printed_description_diff(n: int, k: int, s: int, budget: int = DEFAULT_BUDGE
     budget // (rows x K) candidates, at least one, an upper bound on a
     vertex's reads.  Bad parameters raise before the walk starts.
     """
+    check_budget(budget)
     printed = printed_rows(n, k, s)
     K = s * (n - 1) + k
-    if budget >= 1:  # a budget below 1 reaches the walk, which rejects it
-        budget = max(1, budget // (len(printed) * K))
-    words = enumerate_vertices(windows_1d(n, k, s), budget)
+    words = enumerate_vertices(windows_1d(n, k, s), max(1, budget // (len(printed) * K)))
     derived = h_representation(n, k, s)
     derived_by_label = {row.label: row for row in derived.rows()}
 

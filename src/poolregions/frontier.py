@@ -22,9 +22,9 @@ that lemma but no code.
 
 from __future__ import annotations
 
-from .errors import BudgetExceededError, InvalidParamsError
+from .errors import BudgetExceededError
 from .model import WindowFamily
-from .oracle import DEFAULT_BUDGET, FVector
+from .oracle import DEFAULT_BUDGET, FVector, check_budget
 
 
 def _window_order(masks):
@@ -131,8 +131,7 @@ def fvector(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVector:
     ones.  BudgetExceededError is raised before a window whose step would
     take the running total over it.
     """
-    if budget < 1:
-        raise InvalidParamsError(f"budget must be >= 1, got {budget}")
+    check_budget(budget)
     d = family.ambient_size
     masks = [sum(1 << a for a in w) for w in family.windows]
     # every coefficient counts partial choice lists, fewer than the product

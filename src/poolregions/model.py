@@ -44,7 +44,7 @@ class WindowFamily(namedtuple("WindowFamily", "ambient_size windows")):
     `ambient_size` is d; `windows` is a tuple of frozensets.  Families
     produced from a PoolingLayer are trimmed: coordinates used by no window
     are dropped and the rest relabeled, so the windows cover {0,...,d-1}
-    exactly.  Families built directly (spec_1d with k < s) may leave gaps;
+    exactly.  Families built directly (windows_1d with k < s) may leave gaps;
     `covers_ambient` tells the two apart.
     """
 

@@ -54,6 +54,12 @@ DEFAULT_BUDGET = 10**8
 MAX_WINDOWS = 500
 
 
+def check_budget(budget):
+    """Reject a work budget below 1 (every budgeted count needs one unit)."""
+    if budget < 1:
+        raise InvalidParamsError(f"budget must be >= 1, got {budget}")
+
+
 class FVector(namedtuple("FVector", "counts")):
     """Face counts by dimension: a dict of the nonzero counts, top key `polytope_dim`."""
 
@@ -71,8 +77,7 @@ class FVector(namedtuple("FVector", "counts")):
 
 
 def _check_budget(sizes, per_window, budget):
-    if budget < 1:
-        raise InvalidParamsError(f"budget must be >= 1, got {budget}")
+    check_budget(budget)
     if len(sizes) > MAX_WINDOWS:
         raise BudgetExceededError(f"{len(sizes)} windows exceed the walk's bound of {MAX_WINDOWS}")
     total = 1

@@ -137,6 +137,11 @@ def count_2d(n: int, method: str = "b6", budget: int = oracle.DEFAULT_BUDGET) ->
     raise InvalidParamsError(f"unknown method {method!r}")
 
 
+def count_methods(n: int) -> tuple[str, ...]:
+    """The count_2d routes that cross-check V_n by default; the oracle walk only for n <= 4."""
+    return ("b6", "gf", "oracle") if n <= 4 else ("b6", "gf")
+
+
 def count_2xn(n: int) -> int:
     """Vertices of the 2-row, n-column case, via the 1-D (k, s) = (4, 2) model."""
     if n < 2:

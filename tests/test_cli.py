@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -359,6 +361,47 @@ def test_every_command_rejects_a_budget_below_one(capsys, command):
     code, payload = run_json(capsys, "--budget", "0", command, *ONE_PER_COMMAND[command])
     assert code == 2
     assert payload == {"error": "InvalidParamsError", "detail": "budget must be >= 1, got 0"}
+
+
+@pytest.mark.parametrize("command", sorted(set(ONE_PER_COMMAND) - {"verify"}))
+def test_payload_names_the_command_by_its_table_key(capsys, monkeypatch, command):
+    # `verify` prints its report, which names no command
+    code, payload = run_json(capsys, command, *ONE_PER_COMMAND[command])
+    assert (code, payload["command"]) == (0, command)
+    # the handlers spell no name of their own: renaming the entry renames the payload
+    renamed = f"{command}-renamed"
+    monkeypatch.setattr(cli, "COMMANDS", {renamed: cli.COMMANDS[command]})
+    monkeypatch.setattr(cli, "_PARSER", None)
+    code, payload = run_json(capsys, renamed, *ONE_PER_COMMAND[command])
+    assert (code, payload["command"]) == (0, renamed)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_grid3xn_default_routes_are_the_library_routes(capsys, n):
+    code, payload = run_json(capsys, "grid3xn", "--n", str(n))
+    assert code == 0
+    assert payload["provenance"] == sorted(seq2d.count_methods(n))
+
+
+# argv, the number of fields of every row, rows that must appear
+CSV_OUTPUTS = [
+    (("facets", "--k", "3", "--s", "1", "--n", "2", "--hrep"), 2,
+     [["result.hrep.0.coeffs", "1;1;1;1"], ["result.hrep.0.rhs", "2"]]),
+    (("facets", "--k", "3", "--s", "1", "--n", "2", "--paper-literal"), 2,
+     [["result.entries.0.printed.coeffs", "1;1;1;1"],
+      ["result.entries.0.example_violating_vertex", ""]]),
+    (("verify",), 3, [["PASS", "two-dim", "V_2..V_5 = 14,150,1536,15594; 14x14 matrix "
+                       "reproduced (150 ones); Q facets 8,21,40,67; 2xn 4,14,48,164"]]),
+]
+
+
+@pytest.mark.parametrize("argv, width, expected", CSV_OUTPUTS)
+def test_csv_output_parses_as_csv(capsys, argv, width, expected):
+    code, out = run_cli(capsys, "--format", "csv", *argv)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row for row in rows if len(row) != width] == []
+    assert [row for row in expected if row not in rows] == []
 
 
 def test_tables_mismatch_is_verification_failure(capsys, monkeypatch):

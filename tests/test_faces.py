@@ -15,22 +15,11 @@ from poolregions.faces import (
     selection_from_word,
 )
 from poolregions.model import PoolingLayer, WindowFamily, windows_1d, windows_3xn, windows_from_layer
-from strategies import families
+from strategies import all_selections, families
 
 
 def grid_3x3():
     return windows_from_layer(PoolingLayer((3, 3), (2, 2), 1))
-
-
-def all_selections(family):
-    pools = []
-    for w in family.windows:
-        elems = sorted(w)
-        pools.append(
-            [frozenset(c) for r in range(1, len(elems) + 1) for c in itertools.combinations(elems, r)]
-        )
-    for combo in itertools.product(*pools):
-        yield FaceSelection(family, combo)
 
 
 # independent facehood oracle: search for integer level values h over the

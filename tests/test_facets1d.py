@@ -122,6 +122,12 @@ def test_diff_report_shows_violations():
     assert prefix["printed"]["sense"] == ">=" and prefix["derived"]["sense"] == "<="
 
 
+def test_diff_report_rejects_a_budget_below_one_before_the_walk(monkeypatch):
+    monkeypatch.setattr(facets1d, "enumerate_vertices", lambda *a: pytest.fail("the walk ran"))
+    with pytest.raises(InvalidParamsError, match=r"^budget must be >= 1, got 0$"):
+        facets1d.printed_description_diff(2, 3, 1, budget=0)
+
+
 @pytest.mark.parametrize("n,k,s", [(2, 3, 1), (3, 3, 2), (3, 4, 1), (2, 5, 3), (4, 2, 1)])
 def test_word_value_is_the_dense_dot_product(n, k, s):
     # the one row evaluator reads words; the dense point is its definition

@@ -1,28 +1,24 @@
+import ast
 import itertools
+import os
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poolregions import frontier, oracle
-from poolregions.errors import BudgetExceededError, TieDetectedError
-from poolregions.faces import FaceSelection, build_selection_graph, is_face, selection_from_word
+from poolregions import frontier, oracle, seq2d
+from poolregions.errors import BudgetExceededError, InvalidParamsError, TieDetectedError
+from poolregions.faces import build_selection_graph, is_face, selection_from_word
 from poolregions.model import WindowFamily, windows_1d, windows_3xn
-from strategies import families
+from strategies import all_selections, families
 
 
 def reference_fvector(family):
     """Slow route: scan every choice list and classify with the graph builder."""
-    pools = []
-    for w in family.windows:
-        elems = sorted(w)
-        pools.append(
-            [frozenset(c) for r in range(1, len(elems) + 1) for c in itertools.combinations(elems, r)]
-        )
     counts = {}
-    for combo in itertools.product(*pools):
-        g = build_selection_graph(FaceSelection(family, combo))
+    for sel in all_selections(family):
+        g = build_selection_graph(sel)
         if g.acyclic:
             dim = family.ambient_size - len(g.classes)
             counts[dim] = counts.get(dim, 0) + 1
@@ -181,6 +177,34 @@ def test_budget_guard():
         oracle.count_vertices(windows_1d(20, 6, 1), budget=10**6)
     with pytest.raises(BudgetExceededError):
         oracle.enumerate_faces(windows_3xn(5))  # 15^8 over the default budget
+
+
+@pytest.mark.parametrize("count", [
+    lambda b: oracle.enumerate_vertices(windows_1d(2, 3, 1), b),
+    lambda b: oracle.count_vertices(windows_1d(2, 3, 1), b),
+    lambda b: oracle.enumerate_faces(windows_1d(2, 3, 1), b),
+    lambda b: seq2d.class_counts(2, b),
+])
+def test_budgeted_counts_reject_a_budget_below_one(count):
+    with pytest.raises(InvalidParamsError, match=r"^budget must be >= 1, got 0$"):
+        count(0)
+
+
+def test_budget_precondition_has_one_home():
+    src = os.path.dirname(oracle.__file__)
+    homes = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as f:
+            tree = ast.parse(f.read())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(c, ast.Constant) and "budget must be >= 1" in str(c.value)
+                for c in ast.walk(fn)
+            ):
+                homes.append(f"{name[:-3]}.{fn.name}")
+    assert homes == ["oracle.check_budget"]
 
 
 def test_region_pattern():

@@ -4,7 +4,13 @@ import pytest
 
 from poolregions import frontier, oracle, seq2d
 from poolregions.errors import InvalidParamsError, InvalidSelectionError
-from poolregions.faces import FaceSelection, build_selection_graph, normal_cone, selection_from_word
+from poolregions.faces import (
+    FaceSelection,
+    SelectionGraph,
+    build_selection_graph,
+    normal_cone,
+    selection_from_word,
+)
 from poolregions.facets1d import HRep, h_representation
 from poolregions.model import PoolingLayer, WindowFamily, windows_1d, windows_3xn
 from poolregions.polyalg import TransferMatrix, rational_gf
@@ -83,6 +89,7 @@ def test_records_store_only_independent_fields():
     assert PoolingLayer._fields == ("input_dims", "window_dims", "stride")
     assert oracle.FVector._fields == ("counts",)
     assert HRep._fields == ("equalities", "inequalities")
+    assert SelectionGraph._fields == ("classes", "edges")
     assert not hasattr(seq2d, "ClassCounts")
 
 
@@ -94,5 +101,7 @@ def test_derived_fields_read_their_source():
         assert fv.polytope_dim == max(fv.counts) == 8
     rep = h_representation(3, 4, 2)
     assert {len(row.coeffs) for row in rep.rows()} == {rep.ambient} == {8}
+    loop = SelectionGraph((frozenset({0}), frozenset({1})), frozenset({(0, 1), (1, 1)}))
+    assert not loop.acyclic and loop._replace(edges=frozenset({(0, 1)})).acyclic
     counts = seq2d.class_counts(3)
     assert type(counts) is tuple and len(counts) == 14 and sum(counts) == 150

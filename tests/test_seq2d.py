@@ -72,6 +72,12 @@ def test_count_2d_methods_agree():
         assert seq2d.count_2d(n, "gf") == seq2d.count_2d(n, "b6")
 
 
+def test_count_methods_add_the_oracle_up_to_n4():
+    routes = {n: seq2d.count_methods(n) for n in range(2, 7)}
+    everything = ("b6", "gf", "oracle")
+    assert routes == {2: everything, 3: everything, 4: everything, 5: ("b6", "gf"), 6: ("b6", "gf")}
+
+
 def test_oracle_counts_width_6():
     # 158,050 vertices, counted without building their words
     assert oracle.count_vertices(windows_3xn(6)) == seq2d.count_2d(6, "gf")
