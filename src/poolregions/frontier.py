@@ -12,12 +12,13 @@ the class partition of the live coordinates touched so far, plus the
 transitively closed reachability among those classes.  A class whose
 coordinates are all retired can gain no edge and join no merge any more, so
 it leaves the state; paths through it survive in the closure.  The value of
-a state is a polynomial in the number of retired classes, so at the end the
-coefficient at c classes counts the faces of dimension d - c.  Coordinates
-that no window uses are retired singletons from the start.  A step makes
-only the valid children of each state, by the face-walk lemma stated in the
-`oracle` module docstring, so no cycle test runs; the two modules share
-that lemma but no code.
+a state is a polynomial in the number of merges made: a chosen set that
+joins j groups lowers the class count by j - 1, so the merges are the face
+dimension d - classes, and at the end the coefficient at m merges counts
+the faces of dimension m.  Coordinates that no window uses never merge,
+so the DP never sees them.  A step makes only the valid children of each
+state, by the face-walk lemma stated in the `oracle` module docstring, so
+no cycle test runs; the two modules share that lemma but no code.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ def _step(states, wmask, live, width):
     is valid.  The merged class u reaches the chosen classes' reach and
     every unchosen group with its reach; as R+(w) is closed and holds every
     group's reach, that is R+(w) plus the unchosen free groups.  Values
-    pack the retired-class polynomial into one integer, `width` bits per
-    coefficient, so retiring r classes is a shift by r * width.
+    pack the merge polynomial into one integer, `width` bits per
+    coefficient, so joining j groups is a shift by (j - 1) * width.
     """
     out = {}
     for state, value in states.items():
@@ -102,23 +103,21 @@ def _step(states, wmask, live, width):
             if cm & wmask:
                 bound |= rm
         classes = [*state, *((b, 0) for b in _bits(wmask & ~touched))]
-        unions = [0]
+        unions = [(0, 0)]
         for cm, _ in classes:
             if cm & wmask and not cm & bound:
-                unions += [u | cm for u in unions]
-        for merged in unions[1:]:
-            reach = bound | (unions[-1] ^ merged)
-            retired = 0
+                unions += [(u | cm, j + 1) for u, j in unions]
+        free = unions[-1][0]
+        for merged, j in unions[1:]:
+            reach = bound | (free ^ merged)
             new = []
             for cm, rm in ((merged, reach), *(c for c in classes if not c[0] & merged)):
                 if rm & merged:
                     rm |= merged | reach
                 if cm & live:
                     new.append((cm & live, rm & live))
-                else:
-                    retired += 1
             key = tuple(sorted(new))
-            out[key] = out.get(key, 0) + (value << retired * width)
+            out[key] = out.get(key, 0) + (value << (j - 1) * width)
     return out
 
 
@@ -132,7 +131,6 @@ def fvector(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVector:
     take the running total over it.
     """
     check_budget(budget)
-    d = family.ambient_size
     masks = [sum(1 << a for a in w) for w in family.windows]
     # every coefficient counts partial choice lists, fewer than the product
     # of the (2^|w| - 1) choices, so sum |w| bits hold it without carries
@@ -148,17 +146,12 @@ def fvector(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVector:
             )
         states = _step(states, masks[i], live, width)
     packed = states[()]
-    covered = 0
-    for m in masks:
-        covered |= m
-    unused = d - covered.bit_count()
     counts = {}
-    retired = 0
+    dim = 0
     while packed:
         c = packed & ((1 << width) - 1)
         if c:
-            counts[d - unused - retired] = c
+            counts[dim] = c
         packed >>= width
-        retired += 1
-    counts = dict(sorted(counts.items()))
+        dim += 1
     return FVector(counts=counts)

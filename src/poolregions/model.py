@@ -1,14 +1,14 @@
 """Max-pooling layer configurations and their window families.
 
 A pooling layer of any dimension is materialized as a family of "windows":
-subsets of a flattened coordinate set {0, ..., d-1}, one per output cell.
-All downstream counting (vertices, faces, facets of the associated Minkowski
-sum of simplices) works purely on these index subsets.
+subsets of its d input cells, flattened row-major to {0, ..., d-1}, one per
+output cell.  All downstream counting (vertices, faces, facets of the
+associated Minkowski sum of simplices) works purely on these index subsets.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections import namedtuple
 
 from .errors import InvalidParamsError
@@ -41,11 +41,10 @@ class PoolingLayer(namedtuple("PoolingLayer", "input_dims window_dims stride")):
 class WindowFamily(namedtuple("WindowFamily", "ambient_size windows")):
     """An ordered family of nonempty windows over coordinates {0,...,d-1}.
 
-    `ambient_size` is d; `windows` is a tuple of frozensets.  Families
-    produced from a PoolingLayer are trimmed: coordinates used by no window
-    are dropped and the rest relabeled, so the windows cover {0,...,d-1}
-    exactly.  Families built directly (windows_1d with k < s) may leave gaps;
-    `covers_ambient` tells the two apart.
+    `ambient_size` is d; `windows` is a tuple of frozensets.  A layer's
+    family keeps every input cell as a coordinate, so windows may leave
+    gaps (a 1-D layer with k < s, or cells past the last placement); a
+    coordinate no window uses stays a class of its own and changes no count.
     """
 
     __slots__ = ()
@@ -63,50 +62,33 @@ class WindowFamily(namedtuple("WindowFamily", "ambient_size windows")):
                 raise InvalidParamsError("window coordinate out of range")
         return super().__new__(cls, ambient_size, windows)
 
-    @property
-    def covers_ambient(self) -> bool:
-        return len(frozenset().union(*self.windows)) == self.ambient_size
-
 
 def windows_from_layer(layer: PoolingLayer) -> WindowFamily:
-    """Materialize a layer's windows as flattened, trimmed index sets.
+    """The layer's windows as sets of row-major flat input-cell indices.
 
-    One window per valid placement r (lexicographic order over r); each is
-    the row-major flattening of the base window shifted by stride*r.  Unused
-    input coordinates are dropped and the remaining ones relabeled so the
-    union of all windows is {0,...,d-1}.
+    One window per valid placement r (lexicographic order over r): the flat
+    index of its corner cell stride*r plus the flat offsets of the base
+    window.  The ambient size is the number of input cells.
     """
-    K = layer.input_dims
-    k = layer.window_dims
-    s = layer.stride
-    nu = len(K)
-    # row-major flat index: last axis varies fastest
-    mult = [1] * nu
-    for ax in range(nu - 2, -1, -1):
-        mult[ax] = mult[ax + 1] * K[ax + 1]
-
-    placements = itertools.product(*[range((K[ax] - k[ax]) // s + 1) for ax in range(nu)])
-    raw = []
-    for r in placements:
-        cells = itertools.product(*[range(s * r[ax], s * r[ax] + k[ax]) for ax in range(nu)])
-        raw.append(frozenset(sum(c * m for c, m in zip(cell, mult)) for cell in cells))
-
-    used = sorted(frozenset().union(*raw))
-    relabel = {old: new for new, old in enumerate(used)}
-    windows = tuple(frozenset(relabel[a] for a in w) for w in raw)
-    return WindowFamily(ambient_size=len(used), windows=windows)
+    K, k, s = layer
+    # row-major flat indices (last axis fastest), built axis by axis
+    offsets, corners = [0], [0]
+    for Kax, kax in zip(K, k):
+        offsets = [c * Kax + i for c in offsets for i in range(kax)]
+        corners = [c * Kax + i for c in corners for i in range(0, Kax - kax + 1, s)]
+    return WindowFamily(math.prod(K), [frozenset(map(c.__add__, offsets)) for c in corners])
 
 
 def windows_1d(n: int, k: int, s: int) -> WindowFamily:
     """The n windows {s*i, ..., s*i+k-1} on {0, ..., s(n-1)+k-1}.
 
-    Consecutive windows overlap in max(0, k-s) coordinates; for k < s the
-    family leaves gap coordinates (kept, not trimmed).
+    The family of the 1-D layer with s(n-1)+k inputs.  Consecutive windows
+    overlap in max(0, k-s) coordinates; for k < s the coordinates between
+    them belong to no window.
     """
     if n < 1 or k < 1 or s < 1:
         raise InvalidParamsError("n, k, s must be positive")
-    d = s * (n - 1) + k
-    return WindowFamily(d, tuple(frozenset(range(s * i, s * i + k)) for i in range(n)))
+    return windows_from_layer(PoolingLayer((s * (n - 1) + k,), (k,), s))
 
 
 def windows_3xn(n: int) -> WindowFamily:

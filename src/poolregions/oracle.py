@@ -33,10 +33,11 @@ edge from a class of w (a chosen one, or that of an unchosen coordinate)
 to a chosen class, which then lies in R+(w).  The first class of w in a
 topological order is reached from no class of w, so the number g of free
 groups is at least 1, and a node has exactly 2^g - 1 children, none
-rejected.  Merging j groups turns c classes into c - j + 1, so the last
-window adds C(g, j) faces of dimension d - (c - j + 1) for j = 1..g
-without visiting its leaves, as `count_vertices` adds the size of w minus
-R+(w).
+rejected.  Merging j groups turns c classes into c - j + 1, so it raises
+the face dimension d - c, the number of merges made, by j - 1: a node of
+dimension dim has its last window add C(g, j) faces of dimension
+dim + j - 1 for j = 1..g without visiting its leaves, as `count_vertices`
+adds the size of w minus R+(w).
 """
 
 from __future__ import annotations
@@ -151,13 +152,14 @@ def count_vertices(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def enumerate_faces(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVector:
-    """Tally all nonempty faces by dimension (dimension = d - class count).
+    """Tally all nonempty faces by dimension (d - class count, the merges made).
 
     Depth-first over the windows, making only valid children and tallying
     the last window without visiting it (face walk, module docstring).  A
     node is an acyclic prefix, kept as classes of coordinates: `rep` maps a
     coordinate to its class representative, and `members` and `out` give
-    each class's coordinates and edge targets as bitmasks.
+    each class's coordinates and edge targets as bitmasks.  `dim` is the
+    prefix's merge count, so a coordinate no window uses changes no tally.
     """
     windows = family.windows
     _check_budget(windows, lambda w: (1 << len(w)) - 1, budget)
@@ -175,7 +177,7 @@ def enumerate_faces(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVect
             rep[low.bit_length() - 1] = r
             mask ^= low
 
-    def walk(level, classes):
+    def walk(level, dim):
         wmask = window_mask[level]
         frontier = 0
         for a in windows[level]:
@@ -196,7 +198,7 @@ def enumerate_faces(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVect
             ways = 1
             for j in range(1, g + 1):
                 ways = ways * (g - j + 1) // j
-                counts[d - classes + j - 1] += ways
+                counts[dim + j - 1] += ways
             return
         for pick in range(1, 1 << g):
             chosen = [r for t, r in enumerate(groups) if pick >> t & 1]
@@ -209,12 +211,12 @@ def enumerate_faces(family: WindowFamily, budget: int = DEFAULT_BUDGET) -> FVect
             relabel(joined ^ saved[0], u)
             members[u] = joined
             out[u] = edges | (wmask & ~joined)
-            walk(level + 1, classes - len(chosen) + 1)
+            walk(level + 1, dim + len(chosen) - 1)
             members[u], out[u] = saved
             for r in chosen[1:]:
                 relabel(members[r], r)
 
-    walk(0, d)
+    walk(0, 0)
     return FVector(counts={dim: c for dim, c in enumerate(counts) if c})
 
 

@@ -190,10 +190,10 @@ def check_face_tables(full=True):
     """
     ks = tuple(EDGES_TABLE) if full else (3, 4)
     nmax = 4 if full else 3
-    tables = face_tables(ks, nmax, budget=10**10)
+    tables = face_tables(ks, nmax, oracle.DEFAULT_BUDGET)
     for k in ks:
         for n in range(1, nmax + 1):
-            fv = oracle.enumerate_faces(windows_1d(n, k, 1), budget=10**10)
+            fv = oracle.enumerate_faces(windows_1d(n, k, 1), oracle.DEFAULT_BUDGET)
             for kind, got in (("edges", fv.counts.get(1, 0)), ("total", fv.total() + 1)):
                 agreed_value(
                     f"tables (k={k},n={n}) {kind}",

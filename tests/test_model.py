@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from poolregions import frontier, oracle
 from poolregions.errors import InvalidParamsError
 from poolregions.model import (
     PoolingLayer,
@@ -44,7 +47,7 @@ def test_windows_1d_overlaps():
 def test_windows_1d_gap_coordinates_kept():
     fam = windows_1d(2, 2, 3)  # windows {0,1}, {3,4}: coordinate 2 unused
     assert fam.ambient_size == 5
-    assert not fam.covers_ambient
+    assert frozenset().union(*fam.windows) == {0, 1, 3, 4}
 
 
 def test_windows_3xn_shapes():
@@ -53,7 +56,7 @@ def test_windows_3xn_shapes():
         assert fam.ambient_size == 3 * n
         assert len(fam.windows) == 2 * (n - 1)
         assert all(len(w) == 4 for w in fam.windows)
-        assert fam.covers_ambient
+        assert frozenset().union(*fam.windows) == set(range(3 * n))
 
 
 def test_windows_3xn_layout():
@@ -68,11 +71,13 @@ def test_windows_3xn_layout():
     ]
 
 
-def test_layer_1d_matches_windows_1d():
-    # whenever k >= s the window union has no gaps and trimming is a no-op
-    for n, k, s in [(2, 3, 1), (3, 4, 2), (1, 5, 2), (4, 2, 2), (5, 2, 1)]:
-        layer = PoolingLayer((s * (n - 1) + k,), (k,), s)
-        assert windows_from_layer(layer) == windows_1d(n, k, s)
+def test_windows_1d_are_the_written_out_windows():
+    # k < s included: the last three leave gap coordinates
+    cases = [(2, 3, 1), (3, 4, 2), (1, 5, 2), (4, 2, 2), (5, 2, 1), (2, 2, 3), (3, 2, 3), (3, 1, 4)]
+    for n, k, s in cases:
+        assert windows_1d(n, k, s) == WindowFamily(
+            s * (n - 1) + k, tuple(frozenset(range(s * i, s * i + k)) for i in range(n))
+        )
 
 
 def test_layer_3xn_matches_windows_3xn():
@@ -87,13 +92,18 @@ def test_layer_3xn_matches_windows_3xn():
         ))
 
 
-def test_layer_trims_unused_coordinates():
-    # a 1-D layer whose last coordinates no window reaches
-    layer = PoolingLayer((6,), (3,), 2)  # placements r = 0, 1 cover {0..4}
+@pytest.mark.parametrize("layer, windows, trimmed", [
+    # placements r = 0, 1 cover cells 0..4; cell 5 is no window's
+    (PoolingLayer((6,), (3,), 2), [{0, 1, 2}, {2, 3, 4}], WindowFamily(5, [{0, 1, 2}, {2, 3, 4}])),
+    # one placement: the last row and column of the 3x3 input are unused
+    (PoolingLayer((3, 3), (2, 2), 2), [{0, 1, 3, 4}], WindowFamily(4, [{0, 1, 2, 3}])),
+], ids=["1d", "2d"])
+def test_layer_keeps_its_input_coordinates(layer, windows, trimmed):
     fam = windows_from_layer(layer)
-    assert fam.ambient_size == 5
-    assert fam.covers_ambient
-    assert fam == windows_1d(2, 3, 2)
+    assert fam == WindowFamily(math.prod(layer.input_dims), windows)
+    # coordinates no window uses change no count
+    assert frontier.fvector(fam) == frontier.fvector(trimmed)
+    assert oracle.enumerate_faces(fam) == oracle.enumerate_faces(trimmed)
 
 
 def test_layer_validation():
