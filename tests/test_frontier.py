@@ -1,13 +1,23 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from poolregions import facets1d, frontier, oracle, seq1d, seq2d
 from poolregions.errors import BudgetExceededError, InvalidParamsError
-from poolregions.model import PoolingLayer, windows_1d, windows_3xn, windows_from_layer
+from poolregions.model import PoolingLayer, WindowFamily, windows_1d, windows_3xn, windows_from_layer
 from poolregions.verify import EDGES_TABLE, Q_FACETS, TOTAL_FACES_TABLE, V_VALUES
+from strategies import families
+
+
+@settings(max_examples=60, deadline=None)
+@given(families())
+@example(WindowFamily(5, (frozenset({0, 1, 2}), frozenset({2, 3}), frozenset({3, 4, 0}))))
+def test_fvector_matches_oracle_on_random_families(family):
+    # the oracle's budget caps the candidate product, up to 127^4 for the
+    # families drawn here, although its pruned walk stays small
+    assert frontier.fvector(family) == oracle.enumerate_faces(family, budget=10**9)
 
 
 @st.composite
