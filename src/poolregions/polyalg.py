@@ -18,6 +18,15 @@ the integer 2^(40 deg) p(a/2^40).  The root estimate is the one float, a
 correctly rounded integer division; only `smallest_positive_root_bracket`
 imports `fractions`, for its returned endpoints.  `RationalGF` and
 `TransferMatrix` are immutable named tuples, like every package record.
+
+`lump` shrinks a walk-counting matrix before any of this.  On an equitable
+partition of the states (each state's weight into every block depends
+only on its own block), M.P = P.Q for the block indicator matrix P and the
+quotient Q, so u.M^n.(P.w) = (u.P).Q^n.w and det(I - xQ) divides
+det(I - xM); a nonnegative left Perron vector x of M makes x.P a left
+eigenvector of Q, so both determinants have the least positive root
+1/rho.  The certificate M.P = P.Q is checked exactly, row by row, on every
+quotient `lump` returns.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .errors import (
     InvalidParamsError,
     NonIntegerCoefficientError,
     NoPositiveRootError,
+    VerificationError,
 )
 
 IntPoly = tuple  # ascending coefficients, no trailing zero
@@ -249,6 +259,68 @@ def mat_power_entry(m: TransferMatrix, n: int, i: int, j: int) -> int:
         raise InvalidParamsError("entry index out of range for the matrix size")
     e_i = tuple(1 if t == i else 0 for t in range(m.size))
     return vec_mat_power(e_i, m, n)[j]
+
+
+def _first_appearance(keys):
+    """Number each key by the order in which its value first appears."""
+    ids = {}
+    return tuple(ids.setdefault(key, len(ids)) for key in keys)
+
+
+def _block_sums(row, block, count):
+    """One row of M.P: the row's weight into each of the `count` blocks."""
+    sums = [0] * count
+    for b, x in zip(block, row):
+        sums[b] += x
+    return tuple(sums)
+
+
+def _certify_lumping(rows, block, q):
+    """Raise VerificationError unless M.P = P.Q, checked row by row.
+
+    Row i of M.P is state i's weight into each block; row i of P.Q is the
+    row of Q of state i's block.
+    """
+    for i, row in enumerate(rows):
+        if _block_sums(row, block, len(q)) != q[block[i]]:
+            raise VerificationError(f"lumping: state {i} is not equitable in block {block[i]}")
+
+
+def lump(m: TransferMatrix, right):
+    """The quotient Q of M on its coarsest equitable partition refining `right`.
+
+    Returns (Q, block), block[i] being the block of state i, numbered by
+    first appearance.  The partition starts from the classes of equal
+    `right` weight and splits each block by its states' weights into every
+    block until no block splits; Q[a][b] is the weight that each state of
+    block a sends into block b.  With P the p x q block indicator matrix,
+    the certificate M.P = P.Q is checked exactly, row by row, before Q is
+    returned (VerificationError if it fails).
+
+    It gives M^n.P = P.Q^n, so for any u, u.M^n.right = (u.P).Q^n.w with w
+    the `right` weight of each block (right = P.w), and in particular
+    1.M^n.1 = sizes.Q^n.1 (Kemeny-Snell lumpability; an equitable partition
+    in Godsil's terms).  The columns of P span an M-invariant subspace on
+    which M acts as Q, so det(I - xQ) divides det(I - xM).  If M >= 0 has
+    spectral radius rho and x >= 0 is a left Perron vector, x.M = rho x,
+    then (x.P).Q = rho (x.P) with x.P != 0 (P has a 1 in every row and no
+    negative entry), so rho is an eigenvalue of Q: det(I - xM) and
+    det(I - xQ) share their least positive root 1/rho.
+    """
+    rows = m.entries
+    if len(right) != m.size:
+        raise InvalidParamsError("weight vector must match the matrix size")
+    block = _first_appearance(right)
+    while True:
+        count = max(block) + 1
+        sums = [_block_sums(row, block, count) for row in rows]
+        split = _first_appearance(zip(block, sums))
+        if split == block:
+            break
+        block = split
+    q = [sums[block.index(b)] for b in range(count)]
+    _certify_lumping(rows, block, q)
+    return TransferMatrix(q), block
 
 
 def int_rank(rows) -> int:

@@ -7,12 +7,21 @@ pairs, i.e. to length-(n-1) walks in a digraph on {0, ..., k-1}.  This
 module builds that digraph, counts by four independent routes (word oracle,
 matrix powers, generating function, closed forms), and evaluates growth
 rates.
+
+The three transfer routes (the `matrix` count, `gf_1d` and `growth_1d`)
+run on the lumped quotient Q of `adjacency(k, s)` (`polyalg.lump` with all
+weights 1), built and certified once per (k, s) per process: the number of
+walks of length n is sizes . Q^n . 1, sizes[b] being the states in block b,
+and det(I - xQ) has the same least positive root as det(I - xM).  Q has
+ceil(k/s) states for s <= k - 2 and one state for k = s + 1 (checked for
+every k <= 40).  `adjacency(k, s)` itself stays the definition.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 from . import oracle
 from .errors import (
@@ -28,6 +37,7 @@ from .polyalg import (
     det_poly,
     gf_equal,
     gf_from_matrix,
+    lump,
     rational_gf,
     series_coeff,
     smallest_positive_root,
@@ -58,6 +68,13 @@ def adjacency(k: int, s: int) -> TransferMatrix:
     return TransferMatrix(entries)
 
 
+@lru_cache(maxsize=256)
+def _walk(k: int, s: int):
+    """(Q, sizes): the lumped quotient of adjacency(k, s) and its block sizes."""
+    q, block = lump(adjacency(k, s), (1,) * k)
+    return q, tuple(map(block.count, range(q.size)))
+
+
 def is_vertex_word(word, k: int, s: int) -> bool:
     """Whether a per-window word names a vertex (no forbidden adjacent pair).
 
@@ -73,10 +90,9 @@ def is_vertex_word(word, k: int, s: int) -> bool:
 
 
 def gf_1d(k: int, s: int) -> RationalGF:
-    """F(x) = sum_{n>=0} b_{n+1} x^n from the all-ones transfer-matrix form."""
-    m = adjacency(k, s)
-    ones = (1,) * k
-    return gf_from_matrix(m, ones, ones)
+    """F(x) = sum_{n>=0} b_{n+1} x^n = sum_n sizes . Q^n . 1 on the quotient."""
+    q, sizes = _walk(k, s)
+    return gf_from_matrix(q, sizes, (1,) * q.size)
 
 
 class ClosedForm(namedtuple("ClosedForm", "gf regimes")):
@@ -183,7 +199,8 @@ def count_1d(n: int, k: int, s: int, method: str = "matrix", budget: int = oracl
     if method == "oracle":
         return oracle.count_vertices(windows_1d(n, k, s), budget)
     if method == "matrix":
-        return sum(vec_mat_power((1,) * k, adjacency(k, s), n - 1))
+        q, sizes = _walk(k, s)
+        return sum(vec_mat_power(sizes, q, n - 1))
     if method == "gf":
         return series_coeff(gf_1d(k, s), n - 1)
     if method == "closed":
@@ -195,8 +212,8 @@ def count_1d(n: int, k: int, s: int, method: str = "matrix", budget: int = oracl
 
 
 def growth_1d(k: int, s: int) -> float:
-    """Exponential growth rate lim (1/n) log b_n, from the transfer matrix."""
-    rho = smallest_positive_root(det_poly(adjacency(k, s)))
+    """Exponential growth rate lim (1/n) log b_n, from the quotient's det(I - xQ)."""
+    rho = smallest_positive_root(det_poly(_walk(k, s)[0]))
     return math.log(1 / rho)
 
 

@@ -11,6 +11,7 @@ from poolregions.errors import (
     InvalidParamsError,
     NonIntegerCoefficientError,
     NoPositiveRootError,
+    VerificationError,
 )
 from poolregions.polyalg import (
     RationalGF,
@@ -19,6 +20,7 @@ from poolregions.polyalg import (
     gf_equal,
     gf_from_matrix,
     int_rank,
+    lump,
     mat_power_entry,
     mat_vec,
     poly,
@@ -180,6 +182,42 @@ def test_vec_mat_power_squares_only_while_the_exponent_exceeds_the_size(monkeypa
     monkeypatch.setattr(polyalg, "_mat_mul", counting_mat_mul)
     assert vec_mat_power(v, m, 299) == want
     assert squarings == [16] * 5
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(transfer_matrices(7, 3), st.data())
+def test_lump_is_a_certified_quotient(m, data):
+    p = m.size
+    right = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=p, max_size=p))
+    q, block = lump(m, right)
+    # P: the p x q block indicator matrix; w: the right weight of each block
+    indicator = [[int(block[i] == b) for b in range(q.size)] for i in range(p)]
+    w = [right[block.index(b)] for b in range(q.size)]
+    assert all(right[i] == w[block[i]] for i in range(p))
+    assert polyalg._mat_mul(m.entries, indicator) == polyalg._mat_mul(indicator, q.entries)
+    u = data.draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p))
+    u_p = [_dot(u, column) for column in zip(*indicator)]
+    for n in range(7):
+        assert _dot(vec_mat_power(u, m, n), right) == _dot(vec_mat_power(u_p, q, n), w)
+    assert lump(q, w) == (q, tuple(range(q.size)))
+
+
+def test_lumping_certificate_rejects_a_non_equitable_merge():
+    # adjacency(3, 1): states 1 and 2 both have row sum 2, but state 1 sends
+    # 1 into {0} and state 2 sends 0, so merging them is not equitable
+    rows = seq1d.adjacency(3, 1).entries
+    polyalg._certify_lumping(rows, (0, 1, 2), rows)
+    with pytest.raises(VerificationError, match="state 2"):
+        polyalg._certify_lumping(rows, (0, 1, 1), ((1, 2), (1, 1)))
+
+
+def test_lump_rejects_a_weight_vector_of_the_wrong_length():
+    with pytest.raises(InvalidParamsError):
+        lump(TransferMatrix(((1, 1), (1, 1))), (1,))
 
 
 def test_vec_mat_and_mat_vec_are_transposes():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from poolregions import oracle, seq1d
+from poolregions import cli, oracle, seq1d
 from poolregions.errors import (
     InvalidParamsError,
     OutOfWindowError,
@@ -12,11 +12,17 @@ from poolregions.errors import (
 from poolregions.faces import is_face, selection_from_word
 from poolregions.model import windows_1d
 from poolregions.polyalg import (
+    det_poly,
     gf_equal,
+    gf_from_matrix,
     one_plus_x_times,
     rational_gf,
     series_coeffs,
+    smallest_positive_root,
+    vec_mat_power,
 )
+
+PAIRS_16 = [(k, s) for k in range(2, 17) for s in range(1, k)]
 
 
 def test_adjacency_k3_s1():
@@ -287,3 +293,47 @@ def test_larger_window_scaling():
     b40 = seq1d.count_1d(40, 10, 3, "matrix")
     b41 = seq1d.count_1d(41, 10, 3, "matrix")
     assert abs(math.log(b41 / b40) - seq1d.growth_1d(10, 3)) < 1e-2
+
+
+@pytest.mark.parametrize("k,s", PAIRS_16, ids=[f"k{k}s{s}" for k, s in PAIRS_16])
+def test_transfer_routes_on_the_quotient_match_the_full_matrix(k, s):
+    m = seq1d.adjacency(k, s)
+    ones = (1,) * k
+    assert gf_equal(seq1d.gf_1d(k, s), gf_from_matrix(m, ones, ones))
+    for n in (1, 2, 7, 40):
+        assert seq1d.count_1d(n, k, s, "matrix") == sum(vec_mat_power(ones, m, n - 1))
+    assert seq1d.growth_1d(k, s) == math.log(1 / smallest_positive_root(det_poly(m)))
+
+
+def test_quotient_has_ceil_k_over_s_states():
+    # a checked range, not a proof for every k
+    for k in range(2, 41):
+        for s in range(1, k):
+            q, sizes = seq1d._walk(k, s)
+            assert q.size == (1 if k == s + 1 else math.ceil(k / s)), (k, s)
+            assert sum(sizes) == k
+
+
+def test_quotient_size_is_the_reduced_denominator_degree():
+    for k, s in PAIRS_16:
+        assert seq1d._walk(k, s)[0].size == len(seq1d.gf_1d(k, s).den) - 1, (k, s)
+
+
+def test_queries_of_one_pair_build_its_adjacency_once(monkeypatch, capsys):
+    calls = []
+    adjacency = seq1d.adjacency
+
+    def counting_adjacency(k, s):
+        calls.append((k, s))
+        return adjacency(k, s)
+
+    seq1d._walk.cache_clear()
+    monkeypatch.setattr(seq1d, "adjacency", counting_adjacency)
+    for argv in (
+        ["gf", "--k", "9", "--s", "4"],
+        ["growth", "--k", "9", "--s", "4"],
+        ["vertices", "--k", "9", "--s", "4", "--n", "300"],
+    ):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == [(9, 4)]
