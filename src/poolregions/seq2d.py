@@ -154,14 +154,19 @@ def class_counts(n: int, budget: int = oracle.DEFAULT_BUDGET) -> tuple[int, ...]
 
     Entry i is the number of oracle vertices whose last two windows choose
     the i-th canonical two-window vertex (0-indexed against Q2_VERTEX_PAIRS);
-    the 14 entries sum to V_n.  The oracle budget bounds n; the default of
+    the 14 entries sum to V_n.  Each vertex is tallied as the walk reaches
+    it, so no word is kept.  The oracle budget bounds n; the default of
     10**8 stops it at n = 8.
     """
     if n < 2:
         raise InvalidParamsError("need n >= 2")
     counts = [0] * 14
-    for w in oracle.enumerate_vertices(windows_3xn(n), budget):
-        counts[_PAIR_INDEX[_cells(w, n, n - 2)]] += 1
+
+    def tally(word, last):
+        for a in last:
+            counts[_PAIR_INDEX[_cells((*word, a), n, n - 2)]] += 1
+
+    oracle.walk_vertices(windows_3xn(n), tally, budget)
     return tuple(counts)
 
 

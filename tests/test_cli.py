@@ -483,3 +483,9 @@ def test_cold_start_imports_neither_dataclasses_nor_fractions():
     )
     assert "poolregions.cli" in growth
     assert {"dataclasses", "fractions"} & (growth - bare) == set()
+
+
+def test_cli_import_loads_no_process_pool():
+    # the oracle's split walk forks with os alone
+    loaded = loaded_modules("from poolregions import cli")
+    assert {"multiprocessing", "concurrent.futures"} & loaded == set()

@@ -1,10 +1,15 @@
 import ast
 import itertools
+import json
 import os
 import random
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from poolregions import frontier, oracle, seq2d
@@ -82,6 +87,137 @@ def test_vertex_walk_matches_reference_on_random_families(family):
     want = reference_vertices(family)
     assert oracle.enumerate_vertices(family) == want
     assert oracle.count_vertices(family) == len(want)
+
+
+# count_vertices's split walk, forced on for any family and machine: every
+# walk splits, over three workers, so two children are forked
+SPLIT_FAMILY = windows_1d(6, 3, 1)
+OS_WRITE = os.write
+
+
+@pytest.fixture
+def split(monkeypatch):
+    monkeypatch.setattr(oracle, "_SPLIT_PRODUCT", 1)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
+    yield
+    with pytest.raises(ChildProcessError):  # no child is left behind
+        os.waitpid(-1, os.WNOHANG)
+
+
+def walks_in_this_process(monkeypatch):
+    """The shares walked in this process; a child's walks land in its own copy."""
+    walked = []
+    share_count = oracle._share_count
+    monkeypatch.setattr(oracle, "_share_count",
+                        lambda family, share: walked.append(share) or share_count(family, share))
+    return walked
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(families(7, 6))
+@example(SPLIT_FAMILY)
+def test_split_count_matches_the_walk_on_random_families(split, family):
+    assert oracle.count_vertices(family) == len(oracle.enumerate_vertices(family))
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+def test_split_children_walk_their_shares(split, monkeypatch):
+    walked = walks_in_this_process(monkeypatch)
+    assert oracle.count_vertices(SPLIT_FAMILY) == len(oracle.enumerate_vertices(SPLIT_FAMILY))
+    # depth 3 is the first with 4 * 3 prefixes: 16 of them, six in share 0
+    assert [len(share) for share in walked] == [6]
+
+
+def failing_write(fd, data):
+    raise OSError("write failed")
+
+
+def short_write(fd, data):
+    return OS_WRITE(fd, data[:-1])
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+@pytest.mark.parametrize("write", [failing_write, short_write])
+def test_split_walks_a_share_itself_when_its_child_fails(split, monkeypatch, write):
+    walked = walks_in_this_process(monkeypatch)
+    monkeypatch.setattr(os, "write", write)
+    assert oracle.count_vertices(SPLIT_FAMILY) == len(oracle.enumerate_vertices(SPLIT_FAMILY))
+    assert sorted(map(len, walked)) == [5, 5, 6]
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+def test_split_walks_a_share_itself_when_its_fork_fails(split, monkeypatch):
+    walked = walks_in_this_process(monkeypatch)
+    forks = []
+
+    def failing_fork():
+        forks.append(1)
+        raise OSError("fork failed")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert oracle.count_vertices(SPLIT_FAMILY) == len(oracle.enumerate_vertices(SPLIT_FAMILY))
+    assert (len(forks), sorted(map(len, walked))) == (2, [5, 5, 6])
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+def test_interrupted_split_kills_its_children(split, monkeypatch):
+    parent = os.getpid()
+
+    def share_count(family, share):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return 0
+
+    monkeypatch.setattr(oracle, "_share_count", share_count)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        oracle.count_vertices(SPLIT_FAMILY)
+    assert time.monotonic() - started < 30
+
+
+@pytest.mark.parametrize("case", ["one CPU", "no fork", "below the split product", "a second thread"])
+def test_split_stays_serial(split, monkeypatch, case):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    if case == "one CPU":
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+    elif case == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif case == "below the split product":
+        monkeypatch.setattr(oracle, "_SPLIT_PRODUCT", 3**6 + 1)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "a second thread":
+        thread.start()
+    try:
+        assert oracle.count_vertices(SPLIT_FAMILY) == len(oracle.enumerate_vertices(SPLIT_FAMILY))
+    finally:
+        stop.set()
+        if thread.ident is not None:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_cli_oracle_vertex_count_is_the_same_on_one_cpu():
+    # 3^12 = 531,441 candidates: split unless the process may use one CPU only.
+    # "start" waits in the stdout buffer while the children run; a child
+    # that flushed it on leaving would print it twice
+    argv = ["vertices", "--k", "3", "--s", "1", "--n", "12", "--method", "oracle"]
+    one_cpu = {min(os.sched_getaffinity(0))}
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oracle.__file__)))
+    outputs = []
+    for pin in ("", f"os.sched_setaffinity(0, {one_cpu})\n"):
+        script = (f"import os, sys\n{pin}from poolregions import cli\nprint('start')\n"
+                  f"sys.exit(cli.main({argv!r}))")
+        proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", script],
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    start, line = outputs[0].splitlines()
+    assert (start, json.loads(line)["result"]) == ("start", "23427")
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,7 +11,11 @@ edits count and untracked files do not) are each exported with
 `perfbench/run.py --trace 0` runs once on each side for the run length
 `BENCHMARK.json` sets, the parent first on odd seeds and the change first
 on even ones, and the end-to-end metrics that `BENCHMARK.json` lists are
-read from each run's last stdout line.
+read from each run's last stdout line.  The unscaled `wall_raw_s` and
+`setup_raw_s` that `run.py` prints above that line are kept too, in an
+`unscaled` block per workload with the same summary, outside the claim
+rule: a change that loads a second CPU moves the speed probe's reading,
+and these show the timings as measured.
 With --trace-functions, one `--trace 1` run of seed 1 on each side adds
 the calls, unscaled self seconds and work counters of the named functions
 (or the self seconds of a named module) from its trace file; a name that
@@ -28,6 +32,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -35,6 +40,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIN_SHARE = 0.9  # the change must win at least 9 of every 10 pairs
+UNSCALED = ("wall_raw_s", "setup_raw_s")  # printed by run.py, not in its result line
 
 
 def _git(*args):
@@ -50,13 +56,16 @@ def export(treeish, dest):
 
 
 def run(tree, workload, seed, seconds, trace=0):
-    """The result line of one perfbench run in `tree`."""
+    """The result line of one perfbench run in `tree`, with its printed unscaled timings."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
     )
-    return json.loads(proc.stdout.splitlines()[-1])
+    result = json.loads(proc.stdout.splitlines()[-1])
+    printed = dict(re.findall(r"^\s+(\w+) = (\S+) ", proc.stdout, re.MULTILINE))
+    result["unscaled"] = {name: float(printed[name]) for name in UNSCALED if name in printed}
+    return result
 
 
 def parse_seeds(text):
@@ -162,6 +171,10 @@ def main(argv=None):
             for name, better in metrics.items():
                 values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
                 entry[name] = summarize(seeds, values["parent"], values["change"], better)
+            entry["unscaled"] = {}
+            for name in UNSCALED:
+                values = {side: [r["unscaled"][name] for r in runs[side]] for side in runs}
+                entry["unscaled"][name] = summarize(seeds, values["parent"], values["change"], "lower")
             entry["failed_queries"] = {side: [r["failed"] for r in runs[side]] for side in runs}
             entry["attempted_queries"] = {side: [r["attempted"] for r in runs[side]] for side in runs}
             entry["correct"] = {side: all(r["correct"] for r in runs[side]) for side in runs}
