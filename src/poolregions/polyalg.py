@@ -9,14 +9,21 @@ division-free algorithm (about p^4/4 multiplications for a p x p matrix,
 no matrix product), run once per distinct matrix per process (a bounded
 cache keyed by the entries).
 v . M^n squares M only while the exponent left exceeds p and finishes with
-at most p vector products, so the largest powers are never formed.  A
-single series coefficient comes from Bostan-Mori halving in O(log n)
-polynomial products; a prefix of coefficients from the denominator
-recurrence.  The least positive root is bracketed by bisection over the
-dyadic points a/2^40 held as the integers a, the sign of p there read from
-the integer 2^(40 deg) p(a/2^40).  The root estimate is the one float, a
-correctly rounded integer division; only `smallest_positive_root_bracket`
-imports `fractions`, for its returned endpoints.  `RationalGF` and
+at most p vector products, so the largest powers are never formed; a
+single entry of M^n is a row times M^a dotted with M^b times a column,
+a + b = n, on the same factors.  A single series coefficient comes from
+Bostan-Mori halving in O(log n) polynomial products, each step split into
+even and odd halves (two half-size squarings and two half-size products).
+The squares M^(2^j) and the denominators' Graeffe iterates depend only on
+the matrix or denominator and j, so each is formed once per process and
+kept in a bounded cache (the 256 most recently used squares, the 1024 most
+recently used iterates), and a call forms none beyond its own schedule.  A
+prefix of coefficients comes from the denominator recurrence.  The least
+positive root is bracketed by bisection over the dyadic points a/2^40 held
+as the integers a, the sign of p there read from the integer 2^(40 deg)
+p(a/2^40).  The root estimate is the one float, a correctly rounded
+integer division; only `smallest_positive_root_bracket` imports
+`fractions`, for its returned endpoints.  `RationalGF` and
 `TransferMatrix` are immutable named tuples, like every package record.
 
 `lump` shrinks a walk-counting matrix before any of this.  On an equitable
@@ -211,7 +218,11 @@ class TransferMatrix(namedtuple("TransferMatrix", "entries")):
 
 def mat_vec(m: TransferMatrix, v):
     """M . v as a tuple."""
-    return tuple(sum(map(mul, row, v)) for row in m.entries)
+    return _mat_vec(m.entries, v)
+
+
+def _mat_vec(rows, v):
+    return tuple(sum(map(mul, row, v)) for row in rows)
 
 
 def vec_mat(v, m: TransferMatrix):
@@ -228,6 +239,34 @@ def _mat_mul(a, b):
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
+@lru_cache(maxsize=256)
+def _square(entries, j):
+    """M^(2^j) for the matrix with these entries, squared from M^(2^(j-1))."""
+    if not j:
+        return entries
+    half = _square(entries, j - 1)
+    return _mat_mul(half, half)
+
+
+def _power_factors(entries, n):
+    """The factors (M^(2^j), 2^j) whose product is M^n, in the order they apply.
+
+    While the exponent left exceeds p = len(entries), each set low bit
+    gives its square and the bit is shifted out; the n' <= p left then
+    repeat the last square n' times.  Only the squares of that schedule
+    are formed.
+    """
+    j = 0
+    while n > len(entries):
+        if n & 1:
+            yield _square(entries, j), 1 << j
+        n >>= 1
+        j += 1
+    power = _square(entries, j)
+    for _ in range(n):
+        yield power, 1 << j
+
+
 def vec_mat_power(v, m: TransferMatrix, n: int):
     """v . M^n, squaring M only while the exponent left exceeds p = m.size.
 
@@ -235,30 +274,44 @@ def vec_mat_power(v, m: TransferMatrix, n: int):
     left then is at most p, and v is multiplied by the current power M^(2^j)
     n' times.  Those n' <= p vector products cost no more than one further
     squaring (p^3 multiplications), and the largest powers, whose entries
-    are the longest integers, are never formed.
+    are the longest integers, are never formed.  The squares M^(2^j) depend
+    only on the entries and j, so they are kept per process in a cache of
+    the 256 most recently used (entries, j) pairs: a later call on the same
+    matrix squares only beyond the powers earlier calls formed, and never
+    beyond its own schedule.
     """
     if n < 0:
         raise InvalidParamsError("matrix power must be nonnegative")
     v = tuple(v)
     if len(v) != m.size:
         raise InvalidParamsError("vector length must match the matrix size")
-    power = m.entries
-    while n > m.size:
-        if n & 1:
-            v = _vec_mat(v, power)
-        n >>= 1
-        power = _mat_mul(power, power)
-    for _ in range(n):
+    for power, _ in _power_factors(m.entries, n):
         v = _vec_mat(v, power)
     return v
 
 
 def mat_power_entry(m: TransferMatrix, n: int, i: int, j: int) -> int:
-    """Entry (i, j), zero-based, of the n-th power (exact big integers)."""
+    """Entry (i, j), zero-based, of the n-th power (exact big integers).
+
+    The entry is (e_i . M^a) . (M^b . e_j) with a + b = n: the factors of
+    `vec_mat_power`'s schedule (on the same cached squares) go one by one to
+    the side whose exponent is smaller so far, the row e_i taking them on
+    the right and the column e_j on the left.  Both vectors stay about half
+    the length in digits of row i of M^n, and one dot product ends it.
+    """
+    if n < 0:
+        raise InvalidParamsError("matrix power must be nonnegative")
     if not (0 <= i < m.size and 0 <= j < m.size):
         raise InvalidParamsError("entry index out of range for the matrix size")
-    e_i = tuple(1 if t == i else 0 for t in range(m.size))
-    return vec_mat_power(e_i, m, n)[j]
+    row = tuple(int(t == i) for t in range(m.size))
+    column = tuple(int(t == j) for t in range(m.size))
+    a = b = 0
+    for power, e in _power_factors(m.entries, n):
+        if a <= b:
+            row, a = _vec_mat(row, power), a + e
+        else:
+            column, b = _mat_vec(power, column), b + e
+    return sum(map(mul, row, column))
 
 
 def _first_appearance(keys):
@@ -291,11 +344,18 @@ def lump(m: TransferMatrix, right):
 
     Returns (Q, block), block[i] being the block of state i, numbered by
     first appearance.  The partition starts from the classes of equal
-    `right` weight and splits each block by its states' weights into every
-    block until no block splits; Q[a][b] is the weight that each state of
-    block a sends into block b.  With P the p x q block indicator matrix,
-    the certificate M.P = P.Q is checked exactly, row by row, before Q is
-    returned (VerificationError if it fails).
+    `right` weight and is refined against a set of splitter blocks, all of
+    them at first: each splitter's column sums give the weight every state
+    sends into it, read from the nonzero entries of its columns only, and
+    each block splits by those weights.  The parts of a split block that was
+    still a splitter all become splitters; otherwise all but a largest one
+    do (Hopcroft's rule: a state's weight into the largest part is its
+    weight into the old block less that into the others).  No splitter left
+    means no block splits; Q[a][b] is the weight that each state of block a
+    sends into block b.  Each state is rescanned only when its block is a
+    splitter, O(log p) times per nonzero entry.  With P the p x q block
+    indicator matrix, the certificate M.P = P.Q is checked exactly, row by
+    row, before Q is returned (VerificationError if it fails).
 
     It gives M^n.P = P.Q^n, so for any u, u.M^n.right = (u.P).Q^n.w with w
     the `right` weight of each block (right = P.w), and in particular
@@ -310,15 +370,47 @@ def lump(m: TransferMatrix, right):
     rows = m.entries
     if len(right) != m.size:
         raise InvalidParamsError("weight vector must match the matrix size")
-    block = _first_appearance(right)
-    while True:
-        count = max(block) + 1
-        sums = [_block_sums(row, block, count) for row in rows]
-        split = _first_appearance(zip(block, sums))
-        if split == block:
-            break
-        block = split
-    q = [sums[block.index(b)] for b in range(count)]
+    block = list(_first_appearance(right))
+    members = [set() for _ in range(max(block) + 1)]
+    for i, b in enumerate(block):
+        members[b].add(i)
+    into = [[] for _ in rows]  # into[j]: (i, M[i][j]) for each nonzero entry
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                into[j].append((i, x))
+    pending = set(range(len(members)))
+    while pending:
+        splitter = pending.pop()
+        weight = {}
+        for j in members[splitter]:
+            for i, x in into[j]:
+                weight[i] = weight.get(i, 0) + x
+        # states of one block by their (positive) weight into the splitter;
+        # the block's states missing here send it nothing
+        parts = {}
+        for i, w in weight.items():
+            parts.setdefault(block[i], {}).setdefault(w, []).append(i)
+        for b, by_weight in parts.items():
+            moved = list(by_weight.values())
+            if len(members[b]) == len(moved[0]):
+                continue  # one weight for the whole block: no split
+            if sum(map(len, moved)) == len(members[b]):
+                moved.pop()  # no state sends 0: the last part keeps b
+            new = []
+            for states in moved:
+                new.append(len(members))
+                members.append(set(states))
+                members[b].difference_update(states)
+                for i in states:
+                    block[i] = new[-1]
+            if b not in pending:
+                new.append(b)
+                new.remove(max(new, key=lambda c: len(members[c])))
+            pending.update(new)
+    block = _first_appearance(block)
+    count = max(block) + 1
+    q = [_block_sums(rows[block.index(b)], block, count) for b in range(count)]
     _certify_lumping(rows, block, q)
     return TransferMatrix(q), block
 
@@ -440,28 +532,67 @@ def series_coeffs(gf: RationalGF, upto: int):
     return out
 
 
+def _minus_shifted(a, b, shift):
+    """a(y) - y^shift b(y) for shift 0 or 1; a trailing zero may remain."""
+    out = list(a) + [0] * (len(b) + shift - len(a))
+    for i, c in enumerate(b, shift):
+        out[i] -= c
+    return tuple(out)
+
+
+def _graeffe_step(q):
+    """V with V(x^2) = Q(x)Q(-x): E^2 - y O^2 for Q(x) = E(x^2) + x O(x^2).
+
+    E^2 and y O^2 have degrees of different parity, so nothing cancels at
+    the top and V keeps Q's degree, with no trailing zero.
+    """
+    even, odd = q[::2], q[1::2]
+    return _minus_shifted(poly_mul(even, even), poly_mul(odd, odd), 1)
+
+
+@lru_cache(maxsize=1024)
+def _graeffe(den, t):
+    """The t-th Graeffe iterate of den: den itself for t = 0."""
+    return _graeffe_step(_graeffe(den, t - 1)) if t else den
+
+
 def series_coeff(gf: RationalGF, n: int) -> int:
     """The Taylor coefficient c_n at 0 alone, by Bostan-Mori halving.
 
     P/Q = P(x)Q(-x) / V(x^2) with V(x^2) = Q(x)Q(-x), since that product is
     even.  So c_n is coefficient n // 2 of U/V, where U keeps the
     coefficients of P(x)Q(-x) whose index has the parity of n.  Each step
-    halves n with two polynomial products; at n = 0 the coefficient is
+    is split into halves: with Q(x) = E(x^2) + x O(x^2) and P(x) = A(x^2) +
+    x B(x^2), V = E^2 - y O^2 and U is A E - y B O for even n, B E - A O for
+    odd n, so a step costs two half-size squarings and two half-size
+    products in place of two full-size products.  The iterates V do not
+    depend on n or P: the t-th is kept per process in a cache of the 1024
+    most recently used (den, t) pairs.  A call uses the iterates t < T,
+    T = ceil(log2(n + 1)) the number of steps, forms only those that no
+    earlier call formed, and never the last one, whose constant term
+    den(0)^(2^T) is all the final step needs.  At n = 0 the coefficient is
     P(0)/Q(0).  Raises NonIntegerCoefficientError unless c_n is an integer.
     """
     if n < 0:
         raise InvalidParamsError("coefficient index must be nonnegative")
-    p, q = gf.num, gf.den
-    _check_den(q)
+    p, den = gf.num, gf.den
+    _check_den(den)
     index = n
+    t = 0
     while n:
-        q_neg = tuple(-c if i & 1 else c for i, c in enumerate(q))
-        p = poly_mul(p, q_neg)[n & 1::2]
-        q = poly_mul(q, q_neg)[::2]
+        q = _graeffe(den, t)
+        even, odd = q[::2], q[1::2]
+        p_even, p_odd = p[::2], p[1::2]
+        if n & 1:
+            p = _minus_shifted(poly_mul(p_odd, even), poly_mul(p_even, odd), 0)
+        else:
+            p = _minus_shifted(poly_mul(p_even, even), poly_mul(p_odd, odd), 1)
         n >>= 1
-    c, r = divmod(p[0] if p else 0, q[0])
+        t += 1
+    q0 = den[0] ** (1 << t)  # the constant term of the t-th iterate
+    c, r = divmod(p[0] if p else 0, q0)
     if r:
-        raise NonIntegerCoefficientError(f"coefficient {index} is {p[0]}/{q[0]}")
+        raise NonIntegerCoefficientError(f"coefficient {index} is {p[0]}/{q0}")
     return c
 
 

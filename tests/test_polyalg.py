@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poolregions import cli, polyalg, seq1d, seq2d
@@ -179,21 +179,66 @@ def test_vec_mat_power_squares_only_while_the_exponent_exceeds_the_size(monkeypa
     want = v
     for _ in range(299):
         want = vec_mat(want, m)
+    polyalg._square.cache_clear()
     monkeypatch.setattr(polyalg, "_mat_mul", counting_mat_mul)
     assert vec_mat_power(v, m, 299) == want
     assert squarings == [16] * 5
+    # the squares are cached: 20 -> 10 needs M^2 only, and 1000 -> ... -> 15
+    # squares six times, of which only the sixth is new
+    vec_mat_power(v, m, 20)
+    assert len(squarings) == 5
+    vec_mat_power(v, m, 1000)
+    assert len(squarings) == 6
 
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def _reference_lump(m, right):
+    # the plain refinement: every round recomputes each state's weight into
+    # every block and splits by (block, weights) until no block splits
+    block = polyalg._first_appearance(right)
+    while True:
+        count = max(block) + 1
+        sums = [polyalg._block_sums(row, block, count) for row in m.entries]
+        split = polyalg._first_appearance(zip(block, sums))
+        if split == block:
+            return TransferMatrix([sums[block.index(b)] for b in range(count)]), block
+        block = split
+
+
+def test_lump_equals_the_plain_refinement_on_every_adjacency():
+    for k in range(2, 41):
+        for s in range(1, k):
+            m = seq1d.adjacency(k, s)
+            assert lump(m, (1,) * k) == _reference_lump(m, (1,) * k), (k, s)
+
+
+@st.composite
+def lifted_matrices(draw):
+    # a random quotient lifted to a 0/1 matrix on shuffled blocks, so the
+    # coarsest equitable partition is rarely the discrete one
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    state_block = draw(st.permutations([b for b, n in enumerate(sizes) for _ in range(n)]))
+    rows = []
+    for a in state_block:
+        row = [0] * len(state_block)
+        for b, n in enumerate(sizes):
+            cols = [j for j, c in enumerate(state_block) if c == b]
+            for j in draw(st.lists(st.sampled_from(cols), max_size=n, unique=True)):
+                row[j] = 1
+        rows.append(row)
+    return TransferMatrix(rows)
+
+
 @settings(max_examples=100, deadline=None)
-@given(transfer_matrices(7, 3), st.data())
+@given(st.one_of(transfer_matrices(7, 3), lifted_matrices()), st.data())
 def test_lump_is_a_certified_quotient(m, data):
     p = m.size
     right = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=p, max_size=p))
     q, block = lump(m, right)
+    assert (q, block) == _reference_lump(m, right)
     # P: the p x q block indicator matrix; w: the right weight of each block
     indicator = [[int(block[i] == b) for b in range(q.size)] for i in range(p)]
     w = [right[block.index(b)] for b in range(q.size)]
@@ -453,13 +498,59 @@ def test_series_coeffs_non_integer():
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.integers(-9, 9), max_size=12).map(poly),
-    st.lists(st.integers(-9, 9), max_size=6).map(lambda tail: poly([1] + tail)),
+    st.tuples(st.sampled_from((1, -1)), st.lists(st.integers(-9, 9), max_size=6)).map(
+        lambda d: poly([d[0]] + d[1])
+    ),
     st.integers(0, 400),
 )
+@example((), (1, -2, 1), 7)
+@example((3, 1), (-1, 1), 0)
+@example((), (-1,), 0)
 def test_series_coeff_matches_the_prefix_route(num, den, n):
-    # num may be longer than den: halving keeps the polynomial part exact
+    # num may be longer than den: halving keeps the polynomial part exact;
+    # den(0) = -1 makes every Graeffe iterate's constant term 1
     gf = RationalGF(num, den)
     assert series_coeff(gf, n) == series_coeffs(gf, n)[n]
+
+
+def test_series_coeff_matches_the_prefix_route_on_the_package_gfs():
+    gfs = [seq1d.gf_1d(k, s) for k in range(2, 11) for s in range(1, k)]
+    gfs += [seq1d.gf_closed(k, s).gf for k in range(2, 17) for s in range(1, k)
+            if seq1d.large_strides_regime(k, s) or seq1d.proportional_regime(k, s)]
+    gfs.append(seq2d.gf_2d())
+    for gf in gfs:
+        prefix = series_coeffs(gf, 300)
+        assert [series_coeff(gf, n) for n in range(301)] == prefix, gf
+
+
+def test_a_second_grid_query_forms_no_square_and_no_iterate(monkeypatch, capsys):
+    polyalg._square.cache_clear()
+    polyalg._graeffe.cache_clear()
+    assert cli.main(["grid3xn", "--n", "3000"]) == 0
+    formed = []
+    mat_mul, graeffe_step = polyalg._mat_mul, polyalg._graeffe_step
+    monkeypatch.setattr(polyalg, "_mat_mul", lambda a, b: formed.append("square") or mat_mul(a, b))
+    monkeypatch.setattr(polyalg, "_graeffe_step", lambda q: formed.append("iterate") or graeffe_step(q))
+    for n in ("3000", "2049", "1000", "5"):
+        assert cli.main(["grid3xn", "--n", n]) == 0
+    assert formed == []
+    # one more bit of n forms one more square and one more iterate
+    assert cli.main(["grid3xn", "--n", "6000"]) == 0
+    assert sorted(formed) == ["iterate", "square"]
+    capsys.readouterr()
+
+
+def test_power_kernels_give_the_same_results_on_cold_caches():
+    def results():
+        return (
+            [seq2d.count_2d(n, m) for n in (5, 300, 4095) for m in ("b6", "gf")],
+            [seq1d.count_1d(n, 16, 1, m) for n in (2, 300, 1000) for m in ("matrix", "gf")],
+        )
+
+    warm = results()
+    polyalg._square.cache_clear()
+    polyalg._graeffe.cache_clear()
+    assert results() == warm
 
 
 def test_series_coeff_of_every_1d_gf():
@@ -628,6 +719,17 @@ def test_root_bracket_holds_least_positive_root(linear, quadratic):
     # the aligned 2^-40 cell (a/2^40, (a+1)/2^40] that holds the least root
     unit = Fraction(1, 2**40)
     assert hi == -(-min(positive) // unit) * unit and hi - lo == unit
+
+
+@settings(max_examples=15, deadline=None)
+@given(transfer_matrices(8, 3), st.data())
+def test_mat_power_entry_equals_the_row_of_the_power(m, data):
+    p = m.size
+    ns = list(range(3 * p + 1)) + [data.draw(st.integers(4094, 4098))]
+    for n in ns:
+        for i in range(p):
+            row = vec_mat_power(tuple(int(t == i) for t in range(p)), m, n)
+            assert [mat_power_entry(m, n, i, j) for j in range(p)] == list(row), (n, i)
 
 
 def test_mat_power_entry():
