@@ -19,28 +19,26 @@ the matrix or denominator and j, so each is formed once per process and
 kept in a bounded cache (the 256 most recently used squares, the 1024 most
 recently used iterates), and a call forms none beyond its own schedule.  A
 prefix of coefficients comes from the denominator recurrence.  The least
-positive root is bracketed by bisection over the dyadic points a/2^40 held
-as the integers a, the sign of p there read from the integer 2^(40 deg)
-p(a/2^40).  The root estimate is the one float, a correctly rounded
-integer division; only `smallest_positive_root_bracket` imports
-`fractions`, for its returned endpoints.  `RationalGF` and
-`TransferMatrix` are immutable named tuples, like every package record.
+positive root lies in one cell of the dyadic grid a/2^40, each point held
+as the integer a, and the sign of p there read from the integer
+2^(40 deg) p(a/2^40).  A float Newton estimate from x = 0 names a cell,
+and two exact Sturm counts accept it; when they refuse it or the estimate
+fails, bisection over the grid finds the cell.  The growth-rate root is
+the cell's midpoint, a correctly rounded integer division; only
+`smallest_positive_root_bracket` imports `fractions`, for its returned
+endpoints.  `RationalGF` and `TransferMatrix` are immutable named tuples,
+like every package record.
 
-`lump` shrinks a walk-counting matrix before any of this.  On an equitable
-partition of the states (each state's weight into every block depends
-only on its own block), M.P = P.Q for the block indicator matrix P and the
-quotient Q, so u.M^n.(P.w) = (u.P).Q^n.w and det(I - xQ) divides
-det(I - xM); a nonnegative left Perron vector x of M makes x.P a left
-eigenvector of Q, so both determinants have the least positive root
-1/rho.  The certificate M.P = P.Q is checked exactly, row by row, on every
-quotient `lump` returns.
+`quotient` shrinks a walk-counting matrix before any of this: on an
+equitable partition it gives Q with the same walk counts and least root of
+det(I - xQ), and checks M.P = P.Q exactly for the block indicator matrix P.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd
+from math import ceil, gcd, ldexp
 from operator import mul
 
 from .errors import (
@@ -314,12 +312,6 @@ def mat_power_entry(m: TransferMatrix, n: int, i: int, j: int) -> int:
     return sum(map(mul, row, column))
 
 
-def _first_appearance(keys):
-    """Number each key by the order in which its value first appears."""
-    ids = {}
-    return tuple(ids.setdefault(key, len(ids)) for key in keys)
-
-
 def _block_sums(row, block, count):
     """One row of M.P: the row's weight into each of the `count` blocks."""
     sums = [0] * count
@@ -328,91 +320,34 @@ def _block_sums(row, block, count):
     return tuple(sums)
 
 
-def _certify_lumping(rows, block, q):
-    """Raise VerificationError unless M.P = P.Q, checked row by row.
+def quotient(m: TransferMatrix, block) -> TransferMatrix:
+    """The quotient Q of M on the partition with block[i] the block of state i.
 
-    Row i of M.P is state i's weight into each block; row i of P.Q is the
-    row of Q of state i's block.
-    """
-    for i, row in enumerate(rows):
-        if _block_sums(row, block, len(q)) != q[block[i]]:
-            raise VerificationError(f"lumping: state {i} is not equitable in block {block[i]}")
+    The blocks are numbered 0, ..., q - 1.  Q[a][b] is the weight that the
+    first state of block a sends into block b.  With P the p x q block
+    indicator matrix, the certificate M.P = P.Q (every state sends its
+    block's row of Q) is checked exactly, row by row, before Q is returned;
+    VerificationError names the first state that breaks it, so the
+    partition must be equitable.
 
-
-def lump(m: TransferMatrix, right):
-    """The quotient Q of M on its coarsest equitable partition refining `right`.
-
-    Returns (Q, block), block[i] being the block of state i, numbered by
-    first appearance.  The partition starts from the classes of equal
-    `right` weight and is refined against a set of splitter blocks, all of
-    them at first: each splitter's column sums give the weight every state
-    sends into it, read from the nonzero entries of its columns only, and
-    each block splits by those weights.  The parts of a split block that was
-    still a splitter all become splitters; otherwise all but a largest one
-    do (Hopcroft's rule: a state's weight into the largest part is its
-    weight into the old block less that into the others).  No splitter left
-    means no block splits; Q[a][b] is the weight that each state of block a
-    sends into block b.  Each state is rescanned only when its block is a
-    splitter, O(log p) times per nonzero entry.  With P the p x q block
-    indicator matrix, the certificate M.P = P.Q is checked exactly, row by
-    row, before Q is returned (VerificationError if it fails).
-
-    It gives M^n.P = P.Q^n, so for any u, u.M^n.right = (u.P).Q^n.w with w
-    the `right` weight of each block (right = P.w), and in particular
-    1.M^n.1 = sizes.Q^n.1 (Kemeny-Snell lumpability; an equitable partition
-    in Godsil's terms).  The columns of P span an M-invariant subspace on
-    which M acts as Q, so det(I - xQ) divides det(I - xM).  If M >= 0 has
-    spectral radius rho and x >= 0 is a left Perron vector, x.M = rho x,
-    then (x.P).Q = rho (x.P) with x.P != 0 (P has a 1 in every row and no
-    negative entry), so rho is an eigenvalue of Q: det(I - xM) and
-    det(I - xQ) share their least positive root 1/rho.
+    It gives M^n.P = P.Q^n, so for any u and w, u.M^n.(P.w) = (u.P).Q^n.w,
+    and in particular 1.M^n.1 = sizes.Q^n.1 (Kemeny-Snell lumpability; an
+    equitable partition in Godsil's terms).  The columns of P span an
+    M-invariant subspace on which M acts as Q, so det(I - xQ) divides
+    det(I - xM).  If M >= 0 has spectral radius rho and x >= 0 is a left
+    Perron vector, x.M = rho x, then (x.P).Q = rho (x.P) with x.P != 0 (P
+    has a 1 in every row and no negative entry), so rho is an eigenvalue
+    of Q: det(I - xM) and det(I - xQ) share their least positive root 1/rho.
     """
     rows = m.entries
-    if len(right) != m.size:
-        raise InvalidParamsError("weight vector must match the matrix size")
-    block = list(_first_appearance(right))
-    members = [set() for _ in range(max(block) + 1)]
-    for i, b in enumerate(block):
-        members[b].add(i)
-    into = [[] for _ in rows]  # into[j]: (i, M[i][j]) for each nonzero entry
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x:
-                into[j].append((i, x))
-    pending = set(range(len(members)))
-    while pending:
-        splitter = pending.pop()
-        weight = {}
-        for j in members[splitter]:
-            for i, x in into[j]:
-                weight[i] = weight.get(i, 0) + x
-        # states of one block by their (positive) weight into the splitter;
-        # the block's states missing here send it nothing
-        parts = {}
-        for i, w in weight.items():
-            parts.setdefault(block[i], {}).setdefault(w, []).append(i)
-        for b, by_weight in parts.items():
-            moved = list(by_weight.values())
-            if len(members[b]) == len(moved[0]):
-                continue  # one weight for the whole block: no split
-            if sum(map(len, moved)) == len(members[b]):
-                moved.pop()  # no state sends 0: the last part keeps b
-            new = []
-            for states in moved:
-                new.append(len(members))
-                members.append(set(states))
-                members[b].difference_update(states)
-                for i in states:
-                    block[i] = new[-1]
-            if b not in pending:
-                new.append(b)
-                new.remove(max(new, key=lambda c: len(members[c])))
-            pending.update(new)
-    block = _first_appearance(block)
-    count = max(block) + 1
+    count = max(block, default=-1) + 1
+    if len(block) != m.size or set(block) != set(range(count)):
+        raise InvalidParamsError("partition must give each state a block numbered 0, ..., q - 1")
     q = [_block_sums(rows[block.index(b)], block, count) for b in range(count)]
-    _certify_lumping(rows, block, q)
-    return TransferMatrix(q), block
+    for i, row in enumerate(rows):
+        if _block_sums(row, block, count) != q[block[i]]:
+            raise VerificationError(f"lumping: state {i} is not equitable in block {block[i]}")
+    return TransferMatrix(q)
 
 
 def int_rank(rows) -> int:
@@ -669,12 +604,12 @@ def _root_cell(p):
     there.  The Sturm sequence of p counts its distinct roots in any
     interval (a, b] as V(a) - V(b), V being the number of sign variations;
     when V(+oo), read from the leading coefficients, equals V(0),
-    NoPositiveRootError is raised.  hi starts at 1 and doubles until (0, hi]
-    holds a root, Sturm bisection narrows (lo, hi] until it holds exactly
-    one distinct root with p(hi) <= 0 (or is one unit wide), and bisection
-    on the signs of p ends it at one unit, so p(lo) > 0 >= p(hi) unless the
-    least root has even multiplicity.  The bracket is the aligned 2^-e cell
-    that holds the least root, exact and free of rounding.
+    NoPositiveRootError is raised.  `_newton_point` names the cell (c - 1, c]
+    of a float root estimate, and two Sturm counts accept it: V(c - 1) =
+    V(0) proves no root in (0, c - 1] and V(c) < V(c - 1) at least one in
+    (c - 1, c], so it is the aligned 2^-e cell that holds the least root.
+    Without an estimate, or with a refused one, `_bisect_cell` finds that
+    cell.  Either way the bracket is exact and free of rounding.
     """
     p = poly(p)
     if not p or p[0] <= 0:
@@ -683,7 +618,47 @@ def _root_cell(p):
     v0 = _count_variations(_sign(t[0]) for t in chain)
     if _count_variations(_sign(t[-1]) for t in chain) == v0:
         raise NoPositiveRootError("Sturm count: no positive root")
+    c = _newton_point(p)
+    if c is not None and _variations(chain, c - 1) == v0 and _variations(chain, c) < v0:
+        return c - 1, c
+    return _bisect_cell(p, chain, v0)
 
+
+def _newton_point(p):
+    """The grid point c >= 1 with a float Newton estimate from x = 0 in
+    (c - 1, c] / 2^e, or None when the estimate fails.
+
+    The iteration stops once a step is below 2^-(e + 8), well inside one
+    cell.  It fails on a coefficient too large for a float, a zero
+    derivative, no such step within 64 iterations (an overflow to inf or
+    nan makes none), or an estimate <= 0.
+    """
+    try:
+        top_down = tuple(map(float, reversed(p)))
+    except OverflowError:
+        return None
+    x = 0.0
+    for _ in range(64):
+        value = slope = 0.0
+        for c in top_down:  # Horner's rule for p(x) and p'(x) together
+            slope = slope * x + value
+            value = value * x + c
+        if not slope:
+            return None
+        step = value / slope
+        x -= step
+        if abs(step) < 2.0 ** -(ROOT_GRID_BITS + 8):
+            return ceil(ldexp(x, ROOT_GRID_BITS)) if x > 0 else None
+    return None
+
+
+def _bisect_cell(p, chain, v0):
+    """The bracket of `_root_cell` by bisection over the grid, v0 = V(0):
+    hi starts at 1 and doubles until (0, hi] holds a root, Sturm bisection
+    narrows (lo, hi] until it holds exactly one distinct root with
+    p(hi) <= 0 (or is one unit wide), and bisection on the signs of p ends
+    it at one unit, so p(lo) > 0 >= p(hi) unless the least root has even
+    multiplicity."""
     # invariant: no root in (0, lo], at least one in (lo, hi]
     lo, hi = 0, 1 << ROOT_GRID_BITS
     v_hi = _variations(chain, hi)

@@ -9,12 +9,18 @@ matrix powers, generating function, closed forms), and evaluates growth
 rates.
 
 The three transfer routes (the `matrix` count, `gf_1d` and `growth_1d`)
-run on the lumped quotient Q of `adjacency(k, s)` (`polyalg.lump` with all
-weights 1), built and certified once per (k, s) per process: the number of
-walks of length n is sizes . Q^n . 1, sizes[b] being the states in block b,
-and det(I - xQ) has the same least positive root as det(I - xM).  Q has
-ceil(k/s) states for s <= k - 2 and one state for k = s + 1 (checked for
-every k <= 40).  `adjacency(k, s)` itself stays the definition.
+run on the quotient Q of `adjacency(k, s)` on its runs, built and
+certified (`polyalg.quotient`) once per (k, s) per process: the number of
+walks of length n is sizes . Q^n . 1, sizes[b] being the states in run b,
+and det(I - xQ) has the same least positive root as det(I - xM).  Run b
+holds the letters a with a // s = b, so Q has ceil(k/s) states; for
+k = s + 1, where no pair is forbidden, one block holds every letter.  The
+runs are equitable for every k > s.  A letter a < s may be followed by
+any letter, so it sends sizes[j] into run j.  A letter a >= s in run i may
+be followed only by the s letters of [k - s, k) and by a - s, which lies
+in run i - 1 and not in [k - s, k), so it sends the number of letters of
+run j in [k - s, k), plus 1 when j = i - 1.  Both depend on the run alone.
+`adjacency(k, s)` itself stays the definition.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .polyalg import (
     det_poly,
     gf_equal,
     gf_from_matrix,
-    lump,
+    quotient,
     rational_gf,
     series_coeff,
     smallest_positive_root,
@@ -70,8 +76,9 @@ def adjacency(k: int, s: int) -> TransferMatrix:
 
 @lru_cache(maxsize=256)
 def _walk(k: int, s: int):
-    """(Q, sizes): the lumped quotient of adjacency(k, s) and its block sizes."""
-    q, block = lump(adjacency(k, s), (1,) * k)
+    """(Q, sizes): the quotient of adjacency(k, s) on its runs and their sizes."""
+    block = (0,) * k if k == s + 1 else tuple(a // s for a in range(k))
+    q = quotient(adjacency(k, s), block)
     return q, tuple(map(block.count, range(q.size)))
 
 
@@ -90,7 +97,15 @@ def is_vertex_word(word, k: int, s: int) -> bool:
 
 
 def gf_1d(k: int, s: int) -> RationalGF:
-    """F(x) = sum_{n>=0} b_{n+1} x^n = sum_n sizes . Q^n . 1 on the quotient."""
+    """F(x) = sum_{n>=0} b_{n+1} x^n = sum_n sizes . Q^n . 1 on the quotient.
+
+    Formed once per (k, s) per process, like the quotient itself.
+    """
+    return _gf_1d(k, s)
+
+
+@lru_cache(maxsize=256)
+def _gf_1d(k, s):
     q, sizes = _walk(k, s)
     return gf_from_matrix(q, sizes, (1,) * q.size)
 
@@ -142,8 +157,14 @@ def gf_closed(k: int, s: int) -> ClosedForm:
     Large strides: ceil(k/2) <= s <= k-2 gives the quadratic-denominator
     form.  Proportional strides: s | k (with k >= 2s) gives the degree-(r+3)
     form; s = 1 is its specialization.  When both apply they must agree;
-    if they do not, this raises VerificationError.
+    if they do not, this raises VerificationError.  Formed once per (k, s)
+    per process.
     """
+    return _gf_closed(k, s)
+
+
+@lru_cache(maxsize=256)
+def _gf_closed(k, s):
     if s < 1 or k <= s:
         raise InvalidParamsError("need k > s >= 1")
     regimes = []

@@ -79,6 +79,8 @@ def test_gf_closed_not_covered(capsys):
 
 
 def test_gf_closed_forms_disagree_is_verification_failure(capsys, monkeypatch):
+    # a closed form formed earlier in the process would be read from the cache
+    seq1d._gf_closed.cache_clear()
     monkeypatch.setattr(seq1d, "_gf_proportional", lambda k, s: rational_gf((1,), (1, -k)))
     code, payload = run_json(capsys, "gf", "--k", "6", "--s", "3", "--closed")
     assert code == 4

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from poolregions import cli, polyalg, seq1d, seq2d
@@ -20,7 +20,6 @@ from poolregions.polyalg import (
     gf_equal,
     gf_from_matrix,
     int_rank,
-    lump,
     mat_power_entry,
     mat_vec,
     poly,
@@ -28,6 +27,8 @@ from poolregions.polyalg import (
     poly_eval,
     poly_gcd,
     poly_mul,
+    poly_neg,
+    quotient,
     rational_gf,
     series_coeff,
     series_coeffs,
@@ -195,74 +196,109 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def _first_appearance(keys):
+    """Number each key by the order in which its value first appears."""
+    ids = {}
+    return tuple(ids.setdefault(key, len(ids)) for key in keys)
+
+
 def _reference_lump(m, right):
     # the plain refinement: every round recomputes each state's weight into
-    # every block and splits by (block, weights) until no block splits
-    block = polyalg._first_appearance(right)
+    # every block and splits by (block, weights) until no block splits; the
+    # result is the coarsest equitable partition refining `right`
+    block = _first_appearance(right)
     while True:
         count = max(block) + 1
         sums = [polyalg._block_sums(row, block, count) for row in m.entries]
-        split = polyalg._first_appearance(zip(block, sums))
+        split = _first_appearance(zip(block, sums))
         if split == block:
             return TransferMatrix([sums[block.index(b)] for b in range(count)]), block
         block = split
 
 
-def test_lump_equals_the_plain_refinement_on_every_adjacency():
+def test_runs_quotient_equals_the_plain_refinement():
+    # the coarsest equitable partition of adjacency(k, s) is its runs a // s,
+    # or one block for k = s + 1, numbered as the plain refinement numbers it
     for k in range(2, 41):
         for s in range(1, k):
             m = seq1d.adjacency(k, s)
-            assert lump(m, (1,) * k) == _reference_lump(m, (1,) * k), (k, s)
+            q, block = _reference_lump(m, (1,) * k)
+            assert block == ((0,) * k if k == s + 1 else tuple(a // s for a in range(k))), (k, s)
+            assert quotient(m, block) == q, (k, s)
+            assert seq1d._walk(k, s) == (q, tuple(map(block.count, range(q.size)))), (k, s)
 
 
 @st.composite
 def lifted_matrices(draw):
-    # a random quotient lifted to a 0/1 matrix on shuffled blocks, so the
-    # coarsest equitable partition is rarely the discrete one
+    # a random quotient Q lifted to a 0/1 matrix on shuffled blocks: every
+    # state of block a puts Q[a][b] ones on columns of block b of its own
+    # choosing, so the blocks are equitable with quotient Q
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
-    state_block = draw(st.permutations([b for b, n in enumerate(sizes) for _ in range(n)]))
+    q = [[draw(st.integers(0, n)) for n in sizes] for _ in sizes]
+    block = draw(st.permutations([b for b, n in enumerate(sizes) for _ in range(n)]))
     rows = []
-    for a in state_block:
-        row = [0] * len(state_block)
+    for a in block:
+        row = [0] * len(block)
         for b, n in enumerate(sizes):
-            cols = [j for j, c in enumerate(state_block) if c == b]
-            for j in draw(st.lists(st.sampled_from(cols), max_size=n, unique=True)):
+            cols = [j for j, c in enumerate(block) if c == b]
+            chosen = st.lists(st.sampled_from(cols), min_size=q[a][b], max_size=q[a][b], unique=True)
+            for j in draw(chosen):
                 row[j] = 1
         rows.append(row)
-    return TransferMatrix(rows)
+    return TransferMatrix(rows), tuple(block), TransferMatrix(q)
+
+
+def _with_coarsest_partition(m):
+    q, block = _reference_lump(m, (1,) * m.size)
+    return m, block, q
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(transfer_matrices(7, 3), lifted_matrices()), st.data())
-def test_lump_is_a_certified_quotient(m, data):
+@given(st.one_of(lifted_matrices(), transfer_matrices(7, 3).map(_with_coarsest_partition)), st.data())
+def test_lump_is_a_certified_quotient(lifted, data):
+    # each matrix comes with an equitable partition and its quotient: the
+    # blocks it was lifted from, or the coarsest partition of the refinement
+    m, block, want = lifted
+    q = quotient(m, block)
+    assert q == want
     p = m.size
-    right = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=p, max_size=p))
-    q, block = lump(m, right)
-    assert (q, block) == _reference_lump(m, right)
-    # P: the p x q block indicator matrix; w: the right weight of each block
+    # P: the p x q block indicator matrix; right = P.w for a weight w per block
     indicator = [[int(block[i] == b) for b in range(q.size)] for i in range(p)]
-    w = [right[block.index(b)] for b in range(q.size)]
-    assert all(right[i] == w[block[i]] for i in range(p))
     assert polyalg._mat_mul(m.entries, indicator) == polyalg._mat_mul(indicator, q.entries)
+    w = data.draw(st.lists(st.integers(-3, 3), min_size=q.size, max_size=q.size))
+    right = [w[b] for b in block]
     u = data.draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p))
     u_p = [_dot(u, column) for column in zip(*indicator)]
     for n in range(7):
         assert _dot(vec_mat_power(u, m, n), right) == _dot(vec_mat_power(u_p, q, n), w)
-    assert lump(q, w) == (q, tuple(range(q.size)))
 
 
 def test_lumping_certificate_rejects_a_non_equitable_merge():
     # adjacency(3, 1): states 1 and 2 both have row sum 2, but state 1 sends
     # 1 into {0} and state 2 sends 0, so merging them is not equitable
-    rows = seq1d.adjacency(3, 1).entries
-    polyalg._certify_lumping(rows, (0, 1, 2), rows)
+    m = seq1d.adjacency(3, 1)
+    assert quotient(m, (0, 1, 2)) == m
     with pytest.raises(VerificationError, match="state 2"):
-        polyalg._certify_lumping(rows, (0, 1, 1), ((1, 2), (1, 1)))
+        quotient(m, (0, 1, 1))
 
 
-def test_lump_rejects_a_weight_vector_of_the_wrong_length():
+@settings(max_examples=50, deadline=None)
+@given(transfer_matrices(7, 3))
+def test_quotient_rejects_a_merge_of_the_coarsest_partition(m):
+    # the coarsest equitable partition has no equitable coarsening, so
+    # merging its blocks 0 and 1 must fail the certificate
+    q, block = _reference_lump(m, (1,) * m.size)
+    assume(q.size > 1)
+    with pytest.raises(VerificationError, match="not equitable"):
+        quotient(m, [max(b - 1, 0) for b in block])
+
+
+def test_quotient_rejects_a_malformed_partition():
+    m = TransferMatrix(((1, 1), (1, 1)))
     with pytest.raises(InvalidParamsError):
-        lump(TransferMatrix(((1, 1), (1, 1))), (1,))
+        quotient(m, (0,))
+    with pytest.raises(InvalidParamsError):
+        quotient(m, (0, 2))
 
 
 def test_vec_mat_and_mat_vec_are_transposes():
@@ -583,7 +619,10 @@ def test_det_poly_cache_matches_a_fresh_recurrence():
 
 
 def test_algebra_queries_of_one_pair_compute_det_poly_once(capsys):
+    # gf forms the pair's generating function and its det_poly, growth reads
+    # det_poly again, and vertices reads the generating function again
     polyalg._det_poly.cache_clear()
+    seq1d._gf_1d.cache_clear()
     for argv in (
         ["gf", "--k", "9", "--s", "4"],
         ["growth", "--k", "9", "--s", "4"],
@@ -592,7 +631,9 @@ def test_algebra_queries_of_one_pair_compute_det_poly_once(capsys):
         assert cli.main(argv) == 0
     capsys.readouterr()
     info = polyalg._det_poly.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert (info.misses, info.hits) == (1, 1)
+    info = seq1d._gf_1d.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_smallest_positive_root_simple():
@@ -625,6 +666,112 @@ def package_denominators():
     dens.append(seq2d.gf_2d().den)
     assert len(dens) == 121
     return dens
+
+
+def _reference_root_cell(p):
+    """The bracket by bisection alone, the reference for `_root_cell`: hi
+    doubles from 1 until (0, hi] holds a root, Sturm bisection narrows
+    (lo, hi] to one distinct root with p(hi) <= 0 (or one unit), and
+    bisection on the signs of p ends it at one unit of the 2^-40 grid."""
+    p = poly(p)
+    chain = polyalg._sturm_chain(p)
+    v0 = polyalg._count_variations(polyalg._sign(t[0]) for t in chain)
+    if polyalg._count_variations(polyalg._sign(t[-1]) for t in chain) == v0:
+        raise NoPositiveRootError("Sturm count: no positive root")
+    # invariant: no root in (0, lo], at least one in (lo, hi]
+    lo, hi = 0, 1 << polyalg.ROOT_GRID_BITS
+    v_hi = polyalg._variations(chain, hi)
+    while v_hi == v0:
+        lo, hi = hi, hi << 1
+        v_hi = polyalg._variations(chain, hi)
+    while hi - lo > 1 and (v0 - v_hi > 1 or polyalg._sign_at(p, hi) > 0):
+        mid = (lo + hi) >> 1
+        v_mid = polyalg._variations(chain, mid)
+        if v_mid < v0:
+            hi, v_hi = mid, v_mid
+        else:
+            lo = mid
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if polyalg._sign_at(p, mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def test_root_cell_equals_the_bisection_on_the_walk_denominators():
+    dens = [det_poly(seq1d.adjacency(k, s)) for k in range(2, 25) for s in range(1, k)]
+    dens.append(seq2d.gf_2d().den)
+    for p in dens:
+        assert polyalg._root_cell(p) == _reference_root_cell(p), p
+
+
+def test_package_denominators_are_certified_without_bisection(monkeypatch):
+    # every root behind `growth` (on the quotients, k <= 16) is accepted from
+    # its Newton estimate, so a silent fall back to bisection fails here
+    dens = package_denominators()
+    dens += [det_poly(seq1d._walk(k, s)[0]) for k in range(2, 17) for s in range(1, k)]
+    monkeypatch.setattr(polyalg, "_bisect_cell", lambda *args: pytest.fail("fell back to bisection"))
+    for p in dens:
+        c = polyalg._newton_point(p)
+        assert polyalg._root_cell(p) == (c - 1, c)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        poly_mul((10**400,), (1, -2)),  # no coefficient is a float
+        (1, 0, -4),  # p'(0) = 0
+        (1, 3, -1),  # the estimate is the negative root
+    ],
+    ids=["overflow", "zero-derivative", "negative-estimate"],
+)
+def test_a_failed_newton_estimate_falls_back_to_bisection(p):
+    assert polyalg._newton_point(p) is None
+    assert polyalg._root_cell(p) == _reference_root_cell(p)
+
+
+def test_a_refused_newton_cell_falls_back_to_bisection():
+    # the 39-state quotient of adjacency(39, 1) has roots so close to its
+    # least one that the float estimate lands a few cells off, and the
+    # Sturm counts refuse that cell
+    p = det_poly(seq1d._walk(39, 1)[0])
+    c = polyalg._newton_point(p)
+    assert c is not None and polyalg._root_cell(p) != (c - 1, c)
+    assert polyalg._root_cell(p) == _reference_root_cell(p)
+
+
+@st.composite
+def factored_polys(draw):
+    # scale * prod (d - n x)^e * prod ((x - b)^2 + c^2): repeated roots of
+    # either parity, a twin root 1/(n t) above another (closer than a grid
+    # cell when n t > 2^40), and a scale past the float range
+    p = (draw(st.sampled_from((1, 3, 10**400))),)
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(-50, 50).filter(bool))
+        n = draw(st.integers(-20, 10**4))
+        for _ in range(draw(st.integers(1, 3))):
+            p = poly_mul(p, (d, -n))
+        if draw(st.booleans()):
+            t = draw(st.integers(2, 10**12))
+            p = poly_mul(p, (d * t + 1, -n * t))
+    for _ in range(draw(st.integers(0, 2))):
+        b, c = draw(st.integers(-3, 3)), draw(st.integers(1, 3))
+        p = poly_mul(p, (b * b + c * c, -2 * b, 1))
+    return p if p[0] > 0 else poly_neg(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_polys())
+def test_root_cell_equals_the_bisection_on_factored_polys(p):
+    try:
+        want = _reference_root_cell(p)
+    except NoPositiveRootError:
+        with pytest.raises(NoPositiveRootError):
+            polyalg._root_cell(p)
+        return
+    assert polyalg._root_cell(p) == want
 
 
 def test_package_brackets_are_aligned_dyadic_cells():
